@@ -21,7 +21,6 @@ import pytest
 from benchmarks.conftest import (
     SCALED_M_MIN,
     SCALED_P,
-    record_telemetry,
     report,
     scaled_m,
 )
@@ -47,10 +46,9 @@ def served_network(ny_large, workload_seed):
     return ny_large, index, params, workload
 
 
-def _fresh_engine(graph, index, params, engine_kind="auto") -> SkylineQueryEngine:
+def _fresh_engine(graph, index, params) -> SkylineQueryEngine:
     engine = SkylineQueryEngine(
-        graph, index=index, params=params, exact_node_threshold=0,
-        engine=engine_kind,
+        graph, index=index, params=params, exact_node_threshold=0
     )
     engine.warm()
     return engine
@@ -104,57 +102,6 @@ def test_service_throughput(served_network):
     # The cached run must beat the cold run on a 4x-repeat workload.
     assert serial_warm < serial_cold
     assert warm_hit_rate > 0.5
-
-
-def test_service_engine_comparison(served_network):
-    """Flat vs python serving on the identical cache-off workload.
-
-    The engines must return identical answers; the comparison rows land
-    in both the results table and ``BENCH_bench_service_throughput.json``.
-    """
-    graph, index, params, workload = served_network
-
-    def run(engine_kind):
-        engine = _fresh_engine(graph, index, params, engine_kind)
-        answers = []
-        started = time.perf_counter()
-        for source, target in workload:
-            response = engine.query(source, target, use_cache=False)
-            answers.append([(p.nodes, p.cost) for p in response.paths])
-        return time.perf_counter() - started, answers
-
-    run("flat")  # warm-up pass: imports, memoized graph views
-    python_seconds, python_answers = run("python")
-    flat_seconds, flat_answers = run("flat")
-    assert flat_answers == python_answers, "engines disagreed on answers"
-
-    n = len(workload)
-    rows = [
-        ["python", f"{n / python_seconds:8.1f}", f"{python_seconds:7.3f}", "1.0x"],
-        ["flat", f"{n / flat_seconds:8.1f}", f"{flat_seconds:7.3f}",
-         f"{python_seconds / flat_seconds:.2f}x"],
-    ]
-    report(
-        "service_engine_comparison",
-        format_table(
-            ["engine", "queries/s", "seconds", "speed-up"],
-            rows,
-            title=(
-                f"service engine comparison — {n} cache-off queries on "
-                f"{graph.num_nodes}-node network"
-            ),
-        ),
-    )
-    record_telemetry(
-        "bench_service_throughput",
-        engine_comparison={
-            "queries": n,
-            "python_seconds": python_seconds,
-            "flat_seconds": flat_seconds,
-            "speedup": python_seconds / flat_seconds,
-            "identical_answers": True,
-        },
-    )
 
 
 def test_batch_matches_serial(served_network):

@@ -159,21 +159,30 @@ def test_table2_ch_edges_blow_up(table2_data):
 
 
 def test_table2_scalar_vs_flat_build(workload_seed):
-    """Construction A/B: the scalar pipeline vs the flat build tier.
+    """Construction A/B: the scalar reference build vs production.
 
     Independent of the comparator fixture (selectable with ``-k
     scalar_vs_flat``) so CI's perf-smoke job can run it alone.  Both
     pipelines build the same three-cost road networks at the Table 2
-    stand-in sizes; best-of-5 walls absorb machine noise.  The flat
-    pipeline must (a) produce an index whose *served answers are
-    bit-identical* to the scalar build's — checked per query pair via
-    ``backbone_query`` and via the provenance stamp — and (b) build the
-    largest graph at least 1.8x faster, the tentpole's speedup floor.
+    stand-in sizes; best-of-5 walls absorb machine noise.  The
+    production (flat) pipeline must (a) produce an index whose *served
+    answers are bit-identical* to the scalar reference build's
+    (:func:`repro.qa.reference.build_backbone_index`) — checked per
+    query pair via ``backbone_query`` and via the provenance stamp —
+    and (b) build the largest graph at least 1.8x faster.  The
+    telemetry keeps its historical keys: ``python`` is the reference
+    build, ``flat`` the production one.
     """
     import random
 
     from repro.core.query import backbone_query
     from repro.graph.generators import road_network
+    from repro.qa import reference
+
+    builders = {
+        "python": reference.build_backbone_index,
+        "flat": build_backbone_index,
+    }
 
     params = BackboneParams(
         m_max=scaled_m(200), m_min=SCALED_M_MIN, p=SCALED_P
@@ -185,14 +194,10 @@ def test_table2_scalar_vs_flat_build(workload_seed):
         best = {"python": float("inf"), "flat": float("inf")}
         built = {}
         for _ in range(rounds):
-            for engine in ("python", "flat"):
+            for name, build in builders.items():
                 started = time.perf_counter()
-                built[engine] = build_backbone_index(
-                    graph, params, engine=engine
-                )
-                best[engine] = min(
-                    best[engine], time.perf_counter() - started
-                )
+                built[name] = build(graph, params)
+                best[name] = min(best[name], time.perf_counter() - started)
 
         # Bit-identity of the flat-pipeline build: same provenance stamp
         # and the same served skylines, node sequences and path order

@@ -3,23 +3,20 @@
 The package freezes a :class:`~repro.graph.mcrn.MultiCostGraph` into an
 immutable CSR snapshot (:mod:`repro.accel.csr`), materializes lower
 bounds into dense matrices (:mod:`repro.accel.bounds`), and runs the
-BBS/m_BBS hot loops over those arrays.  Two kernel tiers exist:
+BBS/m_BBS/one-to-all hot loops over those arrays:
 
-* :mod:`repro.accel.bbs_kernel` — scalar flat loops, bit-identical to
-  the python engines (only the constant factors change);
-* :mod:`repro.accel.batch_kernel` — bucket-mode numpy vectorization,
-  answer-set-equal to the other engines but with divergent counters
-  and expansion order.
+* :mod:`repro.accel.bbs_kernel` and :mod:`repro.accel.onetoall_kernel`
+  — the production kernel of every search, scalar flat loops
+  bit-identical to the reference oracle of :mod:`repro.qa.reference`
+  (only the constant factors change);
+* :mod:`repro.accel.batch_kernel` — the fused batch kernel, one
+  bucket-vectorized traversal shared by a whole batch of exact
+  queries, answer-set-equal to per-query serving.
 
 See ``docs/acceleration.md``.
 """
 
-from repro.accel.batch_kernel import (
-    DEFAULT_BUCKET_SIZE,
-    batch_many_to_many,
-    batch_skyline_paths,
-    fused_skyline_batch,
-)
+from repro.accel.batch_kernel import fused_skyline_batch
 from repro.accel.bbs_kernel import flat_many_to_many, flat_skyline_paths
 from repro.accel.blob import pack_bytes, pack_nbytes, read_pack, write_pack
 from repro.accel.bounds import (
@@ -34,10 +31,7 @@ from repro.accel.onetoall_kernel import flat_label_rows, flat_one_to_all
 
 __all__ = [
     "CSRSnapshot",
-    "DEFAULT_BUCKET_SIZE",
     "ParetoPrepBounds",
-    "batch_many_to_many",
-    "batch_skyline_paths",
     "exact_bound_matrix",
     "flat_label_rows",
     "flat_many_to_many",

@@ -1,71 +1,53 @@
-"""Bucket-mode BBS / m_BBS: numpy-vectorized batch kernels.
+"""The fused batch kernel: one bucket traversal for many exact queries.
 
-The flat kernels of :mod:`repro.accel.bbs_kernel` expand one label at a
-time and deliberately keep numpy out of the per-expansion path — at
+The flat kernel of :mod:`repro.accel.bbs_kernel` expands one label at a
+time and deliberately keeps numpy out of the per-expansion path — at
 road-network degrees (2–3 out-slots per node) array dispatch on a
-single label loses to plain python.  These kernels change the unit of
-work instead: the heap is popped in *buckets* of the ``bucket_size``
-smallest-key labels, and everything per-label the flat kernel does in
-python runs as a handful of numpy operations over the whole bucket:
+single label loses to plain python.  :func:`fused_skyline_batch`
+changes the unit of work instead: a whole serving batch of
+``(source, target)`` queries runs as one traversal whose heap pops come
+in *buckets* mixing labels from every query, and everything per-label
+the flat kernel does in python runs as a handful of numpy operations
+over the whole bucket:
 
 * bound projection and result-skyline dominance pruning (one
-  broadcasted ``<=`` against the :class:`VectorParetoSet` mirror);
-* candidate generation over every out-slot of every popped label
-  (the CSR repeat/cumsum gather) plus corridor masking;
-* **per-node frontier admission**, the hottest scalar loop of the flat
-  kernel: each touched node's Pareto frontier is mirrored as a small
-  cost matrix, the matrices of all nodes a bucket touches are
-  concatenated once, and one segment-aligned comparison decides every
-  candidate's dominated-or-equal rejection in a single pass — followed
-  by one deferred, equally vectorized eviction sweep for the rows the
-  admitted candidates strictly dominate.
-
-The result skyline lives in two synchronized containers: the
-authoritative :class:`~repro.paths.frontier.PathSet` (which keeps
-equal-cost alternate paths, as the sequential engines do) and a
-:class:`~repro.paths.vector_frontier.VectorParetoSet` mirror holding
-only the cost front as a contiguous matrix.  The mirror is what the
-bucket prune compares against — one broadcasted ``<=`` per bucket
-instead of one python dominance scan per candidate.  Equal-cost
-duplicates add no pruning power, so the two containers always agree on
-``dominates_candidate``.
+  broadcasted ``<=`` per query against its
+  :class:`~repro.paths.vector_frontier.VectorParetoSet`);
+* candidate generation over every out-slot of every popped label (the
+  CSR repeat/cumsum gather);
+* per-(query, node) frontier admission: the frontier rows of every
+  node a bucket touches are gathered once, and one segment-aligned
+  comparison decides every candidate's dominated-or-equal rejection
+  and every strictly dominated row's eviction in a single pass.
 
 Correctness tier — answers equal, counters may differ
 -----------------------------------------------------
 
-Unlike the flat kernels, bucket mode is **not** bit-identical to the
-python engines and does not try to be: popping B labels before any of
-their children can enter the heap reorders expansions, so every counter
-in :class:`~repro.search.bbs.SearchStats` (and the heap tie-breaker
-sequence) diverges.  What is preserved is the *answer set*: the final
-skyline is the Pareto filter of all target-reaching paths found, and
+The fused kernel is **not** bit-identical to the flat kernel and does
+not try to be: popping a bucket before any of its children can enter a
+heap reorders expansions, so every counter in
+:class:`~repro.search.bbs.SearchStats` diverges.  What is preserved is
+the *answer set*: the final skyline is the Pareto filter of all
+target-reaching paths found, and
 
 * candidate costs are produced by the same IEEE float64 additions in
-  the same association order (``(c + w) + b``, element-wise — numpy and
-  python scalar float64 addition are the same operation), so every path
-  the two tiers both find has a bit-identical cost vector;
+  the same association order (``(c + w) + b``, element-wise), so every
+  path both kernels find has a bit-identical cost vector;
 * pruning differs only in *when* a frontier or the result skyline is
   consulted, never in what it may prune: every rejection criterion is
-  the sequential one (dominated-or-equal by a node frontier, or an
-  admissible optimistic projection dominated-or-equal by an
-  already-found real path), which can never remove the last witness of
-  a skyline cost;
-* within a bucket, labels are processed in ascending key order and
-  checked against results discovered earlier in the same bucket, so a
-  bucket never expands a label the sequential engine would have pruned
-  by a result found at a smaller key.
+  the sequential one, which can never remove the last witness of a
+  skyline cost;
+* within a bucket, each query's labels are processed in ascending key
+  order and checked against results found earlier in the same bucket.
 
 Equal-cost alternate paths are the one visible divergence: which of
 several equal-cost witnesses survives depends on expansion order.  The
-qa harness therefore checks batch answers for *path-set equality* on
-tie-free workloads and cost-front equality always
-(:func:`repro.qa.invariants.answer_set_errors`,
-:func:`repro.qa.invariants.cost_skyline_errors`).
+qa harness therefore checks fused answers for answer-set equality
+(:func:`repro.qa.invariants.answer_set_errors`).
 
-The wall-clock budget is checked once per bucket (≤ ``bucket_size``
-pops), a tighter gate than the 512-pop interval of the scalar loops.
-``max_expansions`` is likewise enforced at bucket granularity, so a run
-may overshoot it by at most one bucket.
+The wall-clock budget is checked once per bucket, and
+``max_expansions`` is enforced at bucket granularity, so a run may
+overshoot it by at most one bucket.
 """
 
 from __future__ import annotations
@@ -81,115 +63,17 @@ from repro.accel.bounds import exact_bound_matrix, materialize_bound_matrix
 from repro.accel.csr import CSRSnapshot
 from repro.errors import NodeNotFoundError
 from repro.graph.mcrn import MultiCostGraph
-from repro.paths.dominance import dominates, dominates_or_equal
-from repro.paths.frontier import ParetoSet, PathSet
 from repro.paths.path import Path
 from repro.paths.vector_frontier import VectorParetoSet
 from repro.search.bounds import LowerBoundProvider
 from repro.search.dijkstra import per_dimension_shortest_paths
-from repro.search.labels import Label
 
-DEFAULT_BUCKET_SIZE = 64
-
-# The fused many-query kernel amortizes each bucket's numpy passes
-# across every query in the batch, so it wants buckets several times
-# larger than the per-query kernels: on the fig10 serving workload
-# (ny~1200, 6 queries) 256 beats both 128 and 512 by 10-20%.
+# The fused kernel amortizes each bucket's numpy passes across every
+# query in the batch: on the fig10 serving workload (ny~1200, 6
+# queries) 256 beats both 128 and 512 by 10-20%.
 FUSED_BUCKET_SIZE = 256
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-class _BatchFrontier:
-    """Per-node Pareto frontier with a numpy mirror for bulk admission.
-
-    Same semantics as :class:`repro.search.labels.NodeFrontier` — a
-    cost dominated-or-equalled by the frontier is rejected, anything a
-    new cost strictly dominates is evicted, one label per distinct
-    cost — but organized for the bucket pipeline:
-
-    * ``matrix()`` exposes the frontier as a ``k×d`` float64 view of an
-      append-only buffer (amortized doubling), so a whole bucket's
-      rejection test runs as one concatenated comparison with *no*
-      per-bucket rebuild;
-    * ``append`` is scan-free: the vectorized passes
-      (:meth:`_FrontierBatch.reject_mask` against the bucket-start
-      rows, :func:`_intra_bucket_reject` among the bucket's own
-      candidates) have already decided admission, so the scalar loop
-      only records the cost and pushes the heap entry;
-    * eviction is *logical*: a strictly dominated cost is only removed
-      from ``current`` (killing its heap label at pop time) while its
-      buffer row stays.  Leaving dead rows in the rejection matrix is
-      sound by transitivity — a dead row ``D`` was strictly dominated
-      by some live admitted cost ``A``, so any candidate ``c`` with
-      ``D <= c`` also has ``A <= c`` and is rejected by a live row
-      regardless.  This keeps every row index stable forever and makes
-      admission allocation-free;
-    * ``current`` is a set, making the stale-pop check O(1) instead of
-      a list scan.
-    """
-
-    __slots__ = ("tuples", "current", "_buf", "_len")
-
-    def __init__(self, dim: int) -> None:
-        self.tuples: list[tuple[float, ...]] = []
-        self.current: set[tuple[float, ...]] = set()
-        self._buf = np.empty((4, dim), dtype=np.float64)
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def matrix(self) -> np.ndarray:
-        return self._buf[: self._len]
-
-    def _push_row(self, cost: tuple[float, ...]) -> None:
-        if self._len == len(self._buf):
-            grown = np.empty(
-                (2 * len(self._buf), self._buf.shape[1]), dtype=np.float64
-            )
-            grown[: self._len] = self._buf
-            self._buf = grown
-        self._buf[self._len] = cost
-        self._len += 1
-        self.tuples.append(cost)
-        self.current.add(cost)
-
-    def try_add(self, cost: tuple[float, ...]) -> bool:
-        """Full scalar admission (source/seed pushes, outside buckets).
-
-        The dominated-or-equal scan may consult dead rows; that is the
-        same transitivity argument as the class note.
-        """
-        for kept in self.tuples:
-            if dominates_or_equal(kept, cost):
-                return False
-        for kept in [k for k in self.current if dominates(cost, k)]:
-            self.current.discard(kept)
-        self._push_row(cost)
-        return True
-
-    def append(self, cost: tuple[float, ...]) -> None:
-        """Record an admission the vectorized passes already decided."""
-        self._push_row(cost)
-
-    def kill_rows(self, rows: list[int]) -> None:
-        """Logically evict rows strictly dominated by this bucket's
-        admitted costs: their heap labels die at pop time, their buffer
-        rows stay (see class note).  When dead rows outnumber live
-        ones the buffer is compacted — safe here because row indices
-        are only ever consumed within the bucket that computed them."""
-        for i in rows:
-            self.current.discard(self.tuples[i])
-        if self._len >= 16 and 2 * len(self.current) < self._len:
-            live = [t for t in self.tuples if t in self.current]
-            self.tuples = live
-            self._len = len(live)
-            if live:
-                self._buf[: self._len] = live
-
-    def is_current(self, cost: tuple[float, ...]) -> bool:
-        return cost in self.current
 
 
 def _seed_paths_from_bounds(
@@ -247,17 +131,6 @@ def _seed_paths_from_bounds(
         # cycles) is dropped: seeds are a pruning aid, never required
         # for correctness.
     return paths
-
-
-def _to_original_path(label: Label, node_ids: list[int]) -> Path:
-    """Materialize a dense-id label chain as an original-id path."""
-    nodes = []
-    walker: Label | None = label
-    while walker is not None:
-        nodes.append(node_ids[walker.node])
-        walker = walker.parent
-    nodes.reverse()
-    return Path(nodes, label.cost)
 
 
 def _all_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -368,476 +241,6 @@ def _bucket_candidates(indptr, indices, nodes):
     return label_of, slots, indices[slots]
 
 
-class _FrontierBatch:
-    """One bucket's gathered frontier state for vectorized admission.
-
-    Concatenates the frontier matrices of every node the candidate
-    batch touches (in sorted-unique order) and exposes the two bulk
-    passes over them: ``reject_mask`` (dominated-or-equal rejection for
-    every candidate at once) and ``evict_dominated`` (the deferred
-    eviction sweep for the admitted costs).
-    """
-
-    __slots__ = ("uniq", "uidx", "sizes", "seg_start", "rows", "fronts")
-
-    def __init__(self, frontiers: list, cand_nodes: np.ndarray, dim: int):
-        self.uniq, self.uidx = np.unique(cand_nodes, return_inverse=True)
-        sizes = np.zeros(len(self.uniq), dtype=np.int64)
-        mats = []
-        fronts = []
-        for k, node in enumerate(self.uniq.tolist()):
-            front = frontiers[node]
-            fronts.append(front)
-            if front is not None and len(front):
-                sizes[k] = len(front)
-                mats.append(front.matrix())
-        self.sizes = sizes
-        self.seg_start = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        self.rows = (
-            np.concatenate(mats) if mats else np.empty((0, dim), np.float64)
-        )
-        self.fronts = fronts
-
-    def _pairs(self, positions: np.ndarray):
-        """(owner, frontier-row) pairs for subset positions.
-
-        ``positions`` index into the candidate subset this batch was
-        built over (``cand_nodes[members]`` at construction), not into
-        the full candidate arrays.
-        """
-        uidx = self.uidx[positions]
-        owner, within = _segment_pairs(self.sizes[uidx])
-        if not len(owner):
-            return owner, owner
-        return owner, self.seg_start[uidx[owner]] + within
-
-    def reject_mask(self, ext: np.ndarray) -> np.ndarray:
-        """True where a bucket-start frontier row dominates-or-equals
-        the candidate's extended cost (the ``try_add`` reject rule);
-        one entry per subset row."""
-        reject = np.zeros(len(self.uidx), dtype=bool)
-        owner, rows = self._pairs(np.arange(len(self.uidx), dtype=np.int64))
-        if len(owner):
-            dom = _all_le(self.rows[rows], ext[owner])
-            reject[owner[dom]] = True
-        return reject
-
-    def evict_dominated(self, positions: np.ndarray, ext: np.ndarray) -> None:
-        """Evict every bucket-start row strictly dominated by an
-        admitted cost, grouped per node in one sweep."""
-        owner, rows = self._pairs(positions)
-        if not len(owner):
-            return
-        kept_rows = self.rows[rows]
-        cand = ext[owner]
-        doomed = _all_le(cand, kept_rows) & ~_all_eq(cand, kept_rows)
-        if not doomed.any():
-            return
-        dead = np.unique(rows[doomed])
-        segment = np.searchsorted(self.seg_start, dead, side="right") - 1
-        local = dead - self.seg_start[segment]
-        by_node: dict[int, list[int]] = {}
-        for seg, row in zip(segment.tolist(), local.tolist()):
-            by_node.setdefault(seg, []).append(row)
-        for seg, locals_ in by_node.items():
-            self.fronts[seg].kill_rows(locals_)
-
-
-def batch_skyline_paths(
-    graph: MultiCostGraph,
-    snapshot: CSRSnapshot,
-    source: int,
-    target: int,
-    *,
-    bounds: LowerBoundProvider | None = None,
-    seed_with_shortest_paths: bool = True,
-    time_budget: float | None = None,
-    max_expansions: int | None = None,
-    node_mask: Sequence[bool] | None = None,
-    seed_paths=None,
-    bucket_size: int = DEFAULT_BUCKET_SIZE,
-):
-    """Bucket-mode BBS over the snapshot (answer-set-equal tier).
-
-    Same call surface as
-    :func:`repro.accel.bbs_kernel.flat_skyline_paths`; the caller has
-    validated endpoints and handled ``source == target``.  Answers match
-    the flat/python engines as path sets (equal-cost alternates may
-    differ); counters and heap order do not — see the module docstring.
-    """
-    from repro.search.bbs import SearchStats, SkylineResult
-
-    start_time = time.perf_counter()
-    stats = SearchStats()
-    if time_budget is not None and time_budget <= 0:
-        stats.timed_out = True
-        stats.elapsed_seconds = time.perf_counter() - start_time
-        return SkylineResult(stats=stats)
-
-    dim = snapshot.dim
-    src = snapshot.dense_of(source)
-    dst = snapshot.dense_of(target)
-    if bounds is None:
-        bound_mat = exact_bound_matrix(snapshot, [dst])
-    else:
-        bound_mat = materialize_bound_matrix(bounds, snapshot)
-
-    results = PathSet()
-    if seed_with_shortest_paths:
-        results.add_all(per_dimension_shortest_paths(graph, source, target))
-    if seed_paths is not None:
-        results.add_all(seed_paths)
-    # Vectorized mirror of the result cost front (equal-cost duplicates
-    # carry no pruning power, so the keep_equal_costs=False semantics
-    # agree with PathSet.dominates_candidate exactly).
-    res_sky: VectorParetoSet[None] = VectorParetoSet(dim)
-    for cost in results.costs():
-        res_sky.add(cost, None)
-
-    indptr = snapshot.indptr.astype(np.int64, copy=False)
-    indices = snapshot.indices.astype(np.int64, copy=False)
-    cost_mat = snapshot.costs
-    node_ids = snapshot.node_ids.tolist()
-    mask_arr = (
-        np.asarray(node_mask, dtype=bool) if node_mask is not None else None
-    )
-
-    frontiers: list[_BatchFrontier | None] = [None] * snapshot.num_nodes
-    tie_breaker = itertools.count()
-    heap: list[tuple[float, int, Label]] = []
-
-    # Source push (scalar; mirrors the flat kernel).
-    source_label = Label(src, (0.0,) * dim)
-    source_projected = tuple(
-        c + b for c, b in zip(source_label.cost, bound_mat[src].tolist())
-    )
-    if float("inf") in source_projected:
-        stats.pruned_by_bound += 1
-    else:
-        stats.dominance_checks += 1
-        if res_sky.dominates_candidate(source_projected):
-            stats.pruned_by_result += 1
-        else:
-            frontier = frontiers[src] = _BatchFrontier(dim)
-            frontier.try_add(source_label.cost)
-            stats.pushes += 1
-            heapq.heappush(
-                heap, (sum(source_projected), next(tie_breaker), source_label)
-            )
-            stats.max_heap_size = 1
-
-    while heap:
-        # One clock read per bucket: at most bucket_size pops of
-        # overshoot, tighter than the scalar loops' 512-pop interval.
-        if time_budget is not None and (
-            time.perf_counter() - start_time > time_budget
-        ):
-            stats.timed_out = True
-            break
-        if max_expansions is not None and stats.expansions >= max_expansions:
-            stats.timed_out = True
-            break
-
-        # --- pop a bucket of current labels, smallest keys first ----
-        bucket: list[Label] = []
-        while heap and len(bucket) < bucket_size:
-            _, _, label = heapq.heappop(heap)
-            if frontiers[label.node].is_current(label.cost):
-                bucket.append(label)
-        if not bucket:
-            continue
-
-        nodes = np.fromiter(
-            (label.node for label in bucket), dtype=np.int64, count=len(bucket)
-        )
-        costs = np.array([label.cost for label in bucket], dtype=np.float64)
-        projected = costs + bound_mat[nodes]
-        stats.dominance_checks += len(bucket)
-        dominated = res_sky.dominance_mask(projected)
-
-        # Process survivors in key order so a target hit early in the
-        # bucket still prunes later bucket members, exactly as the
-        # sequential engines would.
-        fresh_costs: list[tuple[float, ...]] = []
-        expand: list[int] = []
-        for i, label in enumerate(bucket):
-            if dominated[i]:
-                stats.pruned_by_result += 1
-                continue
-            if fresh_costs:
-                proj_i = tuple(projected[i].tolist())
-                if any(
-                    dominates_or_equal(f, proj_i) for f in fresh_costs
-                ):
-                    stats.pruned_by_result += 1
-                    continue
-            stats.expansions += 1
-            if label.node == dst:
-                path = _to_original_path(label, node_ids)
-                if results.add(path):
-                    res_sky.add(path.cost, None)
-                    fresh_costs.append(path.cost)
-                continue
-            expand.append(i)
-        if not expand:
-            continue
-
-        # --- vectorized candidate generation over every out-slot ----
-        expand_arr = np.asarray(expand, dtype=np.int64)
-        label_of, slots, cand_nodes = _bucket_candidates(
-            indptr, indices, nodes[expand_arr]
-        )
-        if not len(slots):
-            continue
-        if mask_arr is not None:
-            alive = mask_arr[cand_nodes]
-            stats.pruned_by_corridor += int(len(alive) - alive.sum())
-            label_of, slots, cand_nodes = (
-                label_of[alive], slots[alive], cand_nodes[alive]
-            )
-            if not len(slots):
-                continue
-        # Same association order as the scalar engines: (c + w) + b.
-        extended = costs[expand_arr[label_of]] + cost_mat[slots]
-        cand_projected = extended + bound_mat[cand_nodes]
-        finite = _all_finite(cand_projected)
-        stats.pruned_by_bound += int(len(finite) - finite.sum())
-        stats.dominance_checks += int(finite.sum())
-        cand_dominated = res_sky.dominance_mask(cand_projected)
-        stats.pruned_by_result += int((finite & cand_dominated).sum())
-        admit = finite & ~cand_dominated
-        if not admit.any():
-            continue
-
-        # --- vectorized frontier admission over the survivors -------
-        members = np.nonzero(admit)[0]
-        batch_front = _FrontierBatch(frontiers, cand_nodes[members], dim)
-        reject = batch_front.reject_mask(extended[members])
-        intra = _intra_bucket_reject(cand_nodes[members], extended[members])
-        reject |= intra
-        stats.pruned_by_frontier += int(reject.sum())
-        keep_pos = np.nonzero(~reject)[0]
-        members = members[keep_pos]
-        if not len(members):
-            continue
-
-        keys = cand_projected[members].sum(axis=1)
-        ext_rows = extended[members].tolist()
-        parents = expand_arr[label_of[members]]
-        for row, key, parent_i, neighbor in zip(
-            ext_rows, keys.tolist(), parents.tolist(),
-            cand_nodes[members].tolist(),
-        ):
-            ext = tuple(row)
-            frontier = frontiers[neighbor]
-            if frontier is None:
-                frontier = frontiers[neighbor] = _BatchFrontier(dim)
-            frontier.append(ext)
-            stats.pushes += 1
-            heapq.heappush(
-                heap,
-                (key, next(tie_breaker),
-                 Label(neighbor, ext, parent=bucket[parent_i])),
-            )
-        # Deferred eviction: bucket-start rows the admitted costs
-        # strictly dominate, swept once per bucket instead of per push.
-        batch_front.evict_dominated(keep_pos, extended[members])
-        if len(heap) > stats.max_heap_size:
-            stats.max_heap_size = len(heap)
-
-    stats.elapsed_seconds = time.perf_counter() - start_time
-    stats.frontier_nodes = sum(
-        1 for frontier in frontiers if frontier is not None
-    )
-    return SkylineResult(paths=results.paths(), stats=stats)
-
-
-def batch_many_to_many(
-    graph: MultiCostGraph,
-    snapshot: CSRSnapshot,
-    seeds: Sequence,
-    targets: Sequence[int],
-    *,
-    bounds: LowerBoundProvider | None = None,
-    time_budget: float | None = None,
-    max_expansions: int | None = None,
-    node_mask: Sequence[bool] | None = None,
-    bucket_size: int = DEFAULT_BUCKET_SIZE,
-):
-    """Bucket-mode m_BBS: one shared traversal for a whole seed batch.
-
-    All seeds of a service batch enter one heap and the CSR arrays are
-    walked once, bucket by bucket, instead of once per source.  Answer
-    tier matches :func:`batch_skyline_paths`: hit sets equal the scalar
-    engines' as path sets, counters may differ.  Lower-bound rows fault
-    in lazily per bucket (m_BBS on G_L touches a small node slice, so a
-    dense up-front materialization would usually lose).
-    """
-    from repro.search.bbs import SearchStats
-    from repro.search.mbbs import ManyToManyResult, Seed
-    from repro.accel.bbs_kernel import _label_to_local_path
-
-    target_set = set(targets)
-    for node in target_set:
-        if not graph.has_node(node):
-            raise NodeNotFoundError(node)
-
-    start_time = time.perf_counter()
-    stats = SearchStats()
-    result = ManyToManyResult(stats=stats)
-    if time_budget is not None and time_budget <= 0:
-        stats.timed_out = True
-        stats.elapsed_seconds = time.perf_counter() - start_time
-        return result
-
-    dim = snapshot.dim
-    n = snapshot.num_nodes
-    bound_mat = np.zeros((n, dim), dtype=np.float64)
-    have = None if bounds is None else np.zeros(n, dtype=bool)
-
-    indptr = snapshot.indptr.astype(np.int64, copy=False)
-    indices = snapshot.indices.astype(np.int64, copy=False)
-    cost_mat = snapshot.costs
-    node_ids = snapshot.node_ids.tolist()
-    dense_targets = {snapshot.dense_of(node) for node in target_set}
-    mask_arr = (
-        np.asarray(node_mask, dtype=bool) if node_mask is not None else None
-    )
-
-    def ensure_bound_rows(dense_nodes: np.ndarray) -> None:
-        if have is None:
-            return
-        missing = dense_nodes[~have[dense_nodes]]
-        for dn in np.unique(missing).tolist():
-            bound_mat[dn] = bounds.bound(node_ids[dn])
-            have[dn] = True
-
-    frontiers: list[_BatchFrontier | None] = [None] * n
-    tie_breaker = itertools.count()
-    heap: list[tuple[float, int, Label]] = []
-
-    def push_scalar(label: Label) -> None:
-        ensure_bound_rows(np.asarray([label.node], dtype=np.int64))
-        projected = tuple(
-            c + b for c, b in zip(label.cost, bound_mat[label.node].tolist())
-        )
-        if float("inf") in projected:
-            stats.pruned_by_bound += 1
-            return
-        frontier = frontiers[label.node]
-        if frontier is None:
-            frontier = frontiers[label.node] = _BatchFrontier(dim)
-        if not frontier.try_add(label.cost):
-            stats.pruned_by_frontier += 1
-            return
-        stats.pushes += 1
-        heapq.heappush(heap, (sum(projected), next(tie_breaker), label))
-
-    for seed in seeds:
-        if not graph.has_node(seed.node):
-            raise NodeNotFoundError(seed.node)
-        push_scalar(
-            Label(snapshot.dense_of(seed.node), tuple(seed.cost), seed=seed)
-        )
-    stats.max_heap_size = len(heap)
-
-    while heap:
-        if time_budget is not None and (
-            time.perf_counter() - start_time > time_budget
-        ):
-            stats.timed_out = True
-            break
-        if max_expansions is not None and stats.expansions >= max_expansions:
-            stats.timed_out = True
-            break
-
-        bucket: list[Label] = []
-        while heap and len(bucket) < bucket_size:
-            _, _, label = heapq.heappop(heap)
-            if frontiers[label.node].is_current(label.cost):
-                bucket.append(label)
-        if not bucket:
-            continue
-        stats.expansions += len(bucket)
-
-        for label in bucket:
-            if label.node in dense_targets:
-                seed: Seed = label.seed  # type: ignore[assignment]
-                original = node_ids[label.node]
-                hits = result.hits.get(original)
-                if hits is None:
-                    hits = result.hits[original] = ParetoSet(
-                        keep_equal_costs=True
-                    )
-                hits.add(
-                    label.cost,
-                    (seed.payload, _label_to_local_path(label, seed, node_ids)),
-                )
-                # Targets are ordinary nodes; keep expanding through.
-
-        nodes = np.fromiter(
-            (label.node for label in bucket), dtype=np.int64, count=len(bucket)
-        )
-        costs = np.array([label.cost for label in bucket], dtype=np.float64)
-        label_of, slots, cand_nodes = _bucket_candidates(
-            indptr, indices, nodes
-        )
-        if not len(slots):
-            continue
-        if mask_arr is not None:
-            alive = mask_arr[cand_nodes]
-            stats.pruned_by_corridor += int(len(alive) - alive.sum())
-            label_of, slots, cand_nodes = (
-                label_of[alive], slots[alive], cand_nodes[alive]
-            )
-            if not len(slots):
-                continue
-        ensure_bound_rows(cand_nodes)
-        extended = costs[label_of] + cost_mat[slots]
-        cand_projected = extended + bound_mat[cand_nodes]
-        finite = _all_finite(cand_projected)
-        stats.pruned_by_bound += int(len(finite) - finite.sum())
-        if not finite.any():
-            continue
-
-        members = np.nonzero(finite)[0]
-        batch_front = _FrontierBatch(frontiers, cand_nodes[members], dim)
-        reject = batch_front.reject_mask(extended[members])
-        reject |= _intra_bucket_reject(cand_nodes[members], extended[members])
-        stats.pruned_by_frontier += int(reject.sum())
-        keep_pos = np.nonzero(~reject)[0]
-        members = members[keep_pos]
-        if not len(members):
-            continue
-
-        keys = cand_projected[members].sum(axis=1)
-        ext_rows = extended[members].tolist()
-        parents = label_of[members]
-        for row, key, parent_i, neighbor in zip(
-            ext_rows, keys.tolist(), parents.tolist(),
-            cand_nodes[members].tolist(),
-        ):
-            ext = tuple(row)
-            frontier = frontiers[neighbor]
-            if frontier is None:
-                frontier = frontiers[neighbor] = _BatchFrontier(dim)
-            frontier.append(ext)
-            stats.pushes += 1
-            heapq.heappush(
-                heap,
-                (key, next(tie_breaker),
-                 Label(neighbor, ext, parent=bucket[parent_i])),
-            )
-        batch_front.evict_dominated(keep_pos, extended[members])
-        if len(heap) > stats.max_heap_size:
-            stats.max_heap_size = len(heap)
-
-    stats.elapsed_seconds = time.perf_counter() - start_time
-    stats.frontier_nodes = sum(
-        1 for frontier in frontiers if frontier is not None
-    )
-    return result
-
 class _LabelStore:
     """Flat append-only label store for the fused kernel.
 
@@ -902,8 +305,7 @@ class _LabelStore:
 class _StoreFrontierBatch:
     """One bucket's gathered frontier state over a :class:`_LabelStore`.
 
-    The fused-kernel analogue of :class:`_FrontierBatch`: per-``fid``
-    frontiers are plain lists of label ids (compacted lazily against
+    Per-``fid`` frontiers are plain lists of label ids (compacted lazily against
     ``store.alive`` when touched), the concatenated cost rows come from
     one fancy index into the store, and eviction is a single scatter
     ``alive[dead] = 0`` — no per-frontier bookkeeping at all.
@@ -986,7 +388,6 @@ def fused_skyline_batch(
     seed_with_shortest_paths: bool = True,
     time_budget: float | None = None,
     max_expansions: int | None = None,
-    bucket_size: int = FUSED_BUCKET_SIZE,
 ):
     """One shared bucket traversal for a whole batch of 1-to-1 queries.
 
@@ -995,11 +396,9 @@ def fused_skyline_batch(
     bucket mixes labels from all of them.  The per-bucket numpy
     passes — bound projection, result-skyline pruning, frontier
     admission — each process the *combined* bucket, so their fixed
-    dispatch cost is amortized ``Q`` ways.  That is the measured
-    difference between this kernel and per-query
-    :func:`batch_skyline_paths`: the same operations on ~``Q``-times
-    larger arrays, which is where bucket vectorization actually wins
-    (see ``BENCH_batch.json``).
+    dispatch cost is amortized ``Q`` ways: the same operations on
+    ~``Q``-times larger arrays, which is where bucket vectorization
+    wins (see ``BENCH_batch.json``).
 
     Each query keeps its own heap and contributes an equal quota of
     its smallest-key labels to every bucket.  A single shared heap
@@ -1012,10 +411,9 @@ def fused_skyline_batch(
 
     Queries stay logically independent: frontiers are keyed by
     ``(query, node)``, and each query prunes only against its own
-    result skyline and bound matrix — so per query the traversal is
-    exactly a :func:`batch_skyline_paths` run, and every answer set
-    equals the flat/python answer set for that pair (equal-cost
-    alternates may differ, counters may differ).
+    result skyline and bound matrix — so every answer set equals the
+    flat kernel's answer set for that pair (equal-cost alternates may
+    differ, counters may differ).
 
     ``bounds`` optionally gives one provider per query (``None``
     entries fall back to exact reverse-Dijkstra bounds).
@@ -1172,7 +570,7 @@ def fused_skyline_batch(
         dead = store.dead
         bucket_idx: list[int] = []
         live = [q for q in range(n_queries) if heaps[q]]
-        quota = -(-bucket_size // len(live))
+        quota = -(-FUSED_BUCKET_SIZE // len(live))
         for q in live:
             heap = heaps[q]
             taken = 0

@@ -1,8 +1,9 @@
 """Flat BBS / m_BBS hot loops over CSR snapshots.
 
-These kernels re-run the exact label-setting searches of
-:mod:`repro.search.bbs` and :mod:`repro.search.mbbs` with the dict
-machinery swapped for flat, slot-indexed state:
+These are the production BBS and m_BBS kernels behind
+:mod:`repro.search.bbs` and :mod:`repro.search.mbbs`: the label-setting
+searches of the reference oracle (:mod:`repro.qa.reference`) with the
+dict machinery swapped for flat, slot-indexed state:
 
 * neighbor iteration walks CSR slot ranges — one list index per slot
   replaces the adjacency-dict and parallel-edge-dict lookups;
@@ -21,11 +22,11 @@ replaces (measured on the benchmark workloads).  The arrays earn their
 keep building the bound matrices and landmark tables, where the batch
 is the whole node set.
 
-Bit-identity with the python engines is a hard requirement (enforced by
+Bit-identity with the reference is a hard requirement (enforced by
 ``repro.qa`` and the property tests): candidate costs are produced by
 the same IEEE additions in the same association order, heap keys use the
 builtin left-to-right ``sum``, and push order matches because both
-engines expand neighbors in ascending id order with parallel slots in
+expand neighbors in ascending id order with parallel slots in
 the graph's canonical cost order.  Identical push order means identical
 tie-breaker sequences, so even equal-cost label races resolve the same
 way.
@@ -88,7 +89,7 @@ def flat_skyline_paths(
     case; ``graph`` is only consulted for result seeding.  ``node_mask``
     is a dense boolean restriction over the snapshot's node space
     (corridor search); masked-out neighbors are skipped before any cost
-    arithmetic — the same point the python engine applies its
+    arithmetic — the same point the reference loop applies its
     membership check — so restricted runs stay bit-identical.
     """
     from repro.search.bbs import SearchStats, SkylineResult
@@ -165,7 +166,7 @@ def flat_skyline_paths(
     # Monotone loop counter for the budget gate: gating on
     # ``stats.expansions`` starves the check across long runs of stale
     # or pruned pops (they never increment expansions).  Mirrors the
-    # python engine; overshoot is bounded to 512 heap pops.
+    # reference loop; overshoot is bounded to 512 heap pops.
     loop_count = 0
     while heap:
         if loop_count & 511 == 0:
@@ -211,7 +212,7 @@ def flat_skyline_paths(
                 continue
             w = cost_tuples[slot]
             brow = bound_rows[neighbor]
-            # Same association order as the python engine: extend first,
+            # Same association order as the reference: extend first,
             # then add the bound — (c + w) + b, bit for bit.
             if two_d:
                 extended = (lcost[0] + w[0], lcost[1] + w[1])
@@ -291,14 +292,14 @@ def flat_many_to_many(
     dim = snapshot.dim
     if bounds is None:
         # Mirrors ZeroBounds: the addition still runs so projected costs
-        # match the python engine bit for bit.
+        # match the reference bit for bit.
         bound_rows: list = [(0.0,) * dim] * snapshot.num_nodes
         bound_provider = None
     else:
         # m_BBS searches on G_L touch a small slice of the node set but
         # aim at many targets, so dense up-front materialization loses;
         # rows fault in per node through the provider instead — the
-        # exact tuples the python engine sees, computed once per node
+        # exact tuples the reference sees, computed once per node
         # rather than once per push.
         bound_rows = [None] * snapshot.num_nodes
         bound_provider = bounds

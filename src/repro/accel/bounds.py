@@ -1,6 +1,6 @@
 """Dense lower-bound matrices over CSR snapshots.
 
-The python engines probe a :class:`~repro.search.bounds.LowerBoundProvider`
+The reference loops probe a :class:`~repro.search.bounds.LowerBoundProvider`
 per push; the flat kernel instead materializes one ``(n, dim)`` float64
 matrix up front so every bound lookup is an indexed load.  Matrices hold
 the exact same values the corresponding providers would return:
@@ -181,7 +181,7 @@ class ParetoPrepBounds:
     same target set (exact per-dimension shortest distances), computed
     in one traversal rather than ``dim``.  Carries its snapshot so the
     flat-kernel warm path can hand the matrix over without re-deriving
-    it; :meth:`bound` serves the python engines' per-push probes.
+    it; :meth:`bound` serves per-push probes (the reference loops').
     """
 
     def __init__(self, snapshot: CSRSnapshot, targets: Sequence[int]) -> None:

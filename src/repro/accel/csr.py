@@ -242,24 +242,21 @@ class CSRSnapshot:
         """The original node id of a dense id."""
         return int(self.node_ids[dense])
 
-    def node_mask(self, nodes, *, strict: bool = False) -> list[bool]:
+    def node_mask(self, nodes) -> list[bool]:
         """A dense boolean mask over this snapshot's node space.
 
         ``mask[dense_id]`` is True iff the node's *original* id is in
         ``nodes``.  The restricted flat kernels probe the mask once per
         CSR slot, so it is a plain python list — scalar list indexing
         beats any array access at that grain.  Unknown nodes are
-        skipped (they are unreachable in this snapshot anyway) unless
-        ``strict`` is set, in which case they raise
-        :class:`~repro.errors.NodeNotFoundError`.
+        skipped: they are unreachable in this snapshot anyway.
         """
         mask = [False] * self.num_nodes
         for node in nodes:
             try:
                 mask[self.dense_of(node)] = True
             except NodeNotFoundError:
-                if strict:
-                    raise
+                pass
         return mask
 
     def adjacency_lists(self, *, reverse: bool = False) -> tuple[list[int], list[int]]:

@@ -1,32 +1,19 @@
-"""Bucket-vectorized one-to-all skyline search over CSR snapshots.
+"""Flat one-to-all skyline search over CSR snapshots.
 
-The construction-side counterpart of :mod:`repro.accel.batch_kernel`:
-one label-correcting search from a single source to every reachable
-node, organized around the same cost-ordered bucket pipeline — pop the
-``bucket_size`` smallest-key labels, gather all their out-slots with
-one fancy-indexed pass, and resolve frontier admission with numpy
-dominance masks instead of per-label python scans.
+One label-correcting search from a single source to every reachable
+node, run over the snapshot's python list mirrors.  Statement for
+statement it is the reference search of
+:func:`repro.qa.reference.one_to_all_skyline` — CSR slot order equals
+``sorted_neighbors`` × canonical parallel-cost order, so pushes,
+tie-breaker draws, and therefore every answer, witness, and counter are
+bit-identical; only the constant factors change.
 
-Two tiers live in this module, selected by ``bucket_size``:
-
-* ``bucket_size=None`` — the *flat* scalar loop over the CSR python
-  list mirrors.  Bit-identical to
-  :func:`repro.search.onetoall.one_to_all_skyline` (same expansion
-  order, same heap tie-breaking, same result iteration order); only
-  the constant factors change.  The backbone builder pins this tier
-  for cluster-label construction so a flat-pipeline build serves
-  bit-identical answers to a scalar build.
-* ``bucket_size=K`` — the bucket-mode numpy tier.  Answer-set-equal to
-  the scalar engines (one-to-all has no bounds and no result-set
-  pruning, so admission decisions evolve identically; equal-cost
-  alternate *witness paths* and all counters are free to differ — the
-  same contract as the batch query kernels).  Graphs below
-  ``scalar_crossover`` nodes fall back to the flat loop, where the
-  per-bucket numpy dispatch overhead exceeds the work it vectorizes.
-
-``max_frontier`` caps are honored on both tiers, but a binding cap is
-an order-dependent under-approximation (as documented on the scalar
-search), so capped runs may keep different label subsets per tier.
+:func:`flat_label_rows` is the construction-side specialization: all
+of one condensed cluster's label rows in one call, with the per-call
+scaffolding stripped and the dominance tests specialized by dimension.
+A binding ``max_frontier`` cap is an order-dependent
+under-approximation, identical across both formulations because their
+orders are.
 """
 
 from __future__ import annotations
@@ -36,26 +23,12 @@ import itertools
 import time
 from collections.abc import Iterable
 
-import numpy as np
-
-from repro.accel.batch_kernel import (
-    DEFAULT_BUCKET_SIZE,
-    _BatchFrontier,
-    _bucket_candidates,
-    _FrontierBatch,
-    _intra_bucket_reject,
-    _to_original_path,
-)
+from repro.accel.bbs_kernel import _to_original_path
 from repro.accel.csr import CSRSnapshot
 from repro.errors import NodeNotFoundError
 from repro.paths.dominance import dominates, dominates_or_equal
 from repro.paths.path import Path
 from repro.search.labels import Label, NodeFrontier
-
-# Below this many nodes one bucket rarely fills and every numpy pass
-# runs at dispatch-overhead grain; the flat scalar loop wins (measured
-# on cluster-restricted subgraphs, see docs/acceleration.md).
-ONETOALL_SCALAR_CROSSOVER = 96
 
 
 def flat_one_to_all(
@@ -66,8 +39,6 @@ def flat_one_to_all(
     max_frontier: int | None = None,
     time_budget: float | None = None,
     stats=None,
-    bucket_size: int | None = DEFAULT_BUCKET_SIZE,
-    scalar_crossover: int = ONETOALL_SCALAR_CROSSOVER,
 ) -> dict[int, list[Path]]:
     """One-to-all skyline paths over a snapshot (see module docstring).
 
@@ -87,22 +58,69 @@ def flat_one_to_all(
         stats.timed_out = True
         stats.elapsed_seconds = time.perf_counter() - start_time
         return {}
-    if bucket_size is None or snapshot.num_nodes < scalar_crossover:
-        result = _scalar_one_to_all(
-            snapshot, src, wanted, max_frontier, time_budget, stats, start_time
-        )
-    else:
-        result = _bucket_one_to_all(
-            snapshot,
-            src,
-            wanted,
-            max_frontier,
-            time_budget,
-            stats,
-            start_time,
-            bucket_size,
-        )
+    indptr, indices = snapshot.adjacency_lists()
+    cost_rows = snapshot.cost_tuples()
+    node_ids = snapshot.node_ids.tolist()
+
+    frontiers: list[NodeFrontier | None] = [None] * snapshot.num_nodes
+    best_labels: dict[int, list[Label]] = {}
+    tie_breaker = itertools.count()
+    heap: list[tuple[float, int, Label]] = []
+
+    def push(label: Label) -> None:
+        frontier = frontiers[label.node]
+        if frontier is None:
+            frontier = frontiers[label.node] = NodeFrontier()
+        if max_frontier is not None and len(frontier) >= max_frontier:
+            return
+        if not frontier.try_add(label.cost):
+            stats.pruned_by_frontier += 1
+            return
+        stats.pushes += 1
+        heapq.heappush(heap, (sum(label.cost), next(tie_breaker), label))
+
+    push(Label(src, (0.0,) * snapshot.dim))
+
+    loop_count = 0
+    while heap:
+        if (
+            time_budget is not None
+            and loop_count & 511 == 0
+            and time.perf_counter() - start_time > time_budget
+        ):
+            stats.timed_out = True
+            break
+        loop_count += 1
+        _, _, label = heapq.heappop(heap)
+        frontier = frontiers[label.node]
+        if not frontier.is_current(label.cost):
+            continue
+        stats.expansions += 1
+        kept = best_labels.setdefault(label.node, [])
+        kept[:] = [old for old in kept if frontier.is_current(old.cost)]
+        kept.append(label)
+        cost = label.cost
+        for k in range(indptr[label.node], indptr[label.node + 1]):
+            extended = tuple(c + w for c, w in zip(cost, cost_rows[k]))
+            push(Label(indices[k], extended, parent=label))
+        if len(heap) > stats.max_heap_size:
+            stats.max_heap_size = len(heap)
+
+    stats.frontier_nodes = sum(1 for f in frontiers if f is not None)
     stats.elapsed_seconds = time.perf_counter() - start_time
+    # Surviving labels, in first-pop node order.
+    result: dict[int, list[Path]] = {}
+    for node, labels in best_labels.items():
+        original = node_ids[node]
+        if wanted is not None and original not in wanted:
+            continue
+        paths = [
+            _to_original_path(label, node_ids)
+            for label in labels
+            if frontiers[node].is_current(label.cost)
+        ]
+        if paths:
+            result[original] = paths
     return result
 
 
@@ -114,12 +132,12 @@ def flat_label_rows(
 ) -> list[tuple[int, int, Path]]:
     """All cluster-label rows for one condensed cluster, fused.
 
-    Runs the flat tier once per entrance (in sorted order) over one
+    Runs the search once per entrance (in sorted order) over one
     shared snapshot and emits ``(node, entrance, path)`` rows with the
     path already reversed into label orientation (node -> entrance).
     Row content and order are bit-identical to calling
-    :func:`flat_one_to_all` per entrance with ``bucket_size=None`` and
-    reversing each returned path — this is the same search with the
+    :func:`flat_one_to_all` per entrance and reversing each returned
+    path — this is the same search with the
     per-call scaffolding (stats, budget checks, forward-path
     materialization) stripped out and the dominance tests specialized
     by dimension.  Entrances missing from the snapshot are skipped,
@@ -266,195 +284,3 @@ def flat_label_rows(
                     cursor = cursor[2]
                 rows.append((original, entrance, Path(chain, cost)))
     return rows
-
-
-def _collect_results(
-    best_labels: dict[int, list[Label]],
-    frontiers: list,
-    node_ids: list[int],
-    wanted: set[int] | None,
-) -> dict[int, list[Path]]:
-    """Materialize surviving labels, preserving first-pop node order."""
-    result: dict[int, list[Path]] = {}
-    for node, labels in best_labels.items():
-        original = node_ids[node]
-        if wanted is not None and original not in wanted:
-            continue
-        frontier = frontiers[node]
-        paths = [
-            _to_original_path(label, node_ids)
-            for label in labels
-            if frontier.is_current(label.cost)
-        ]
-        if paths:
-            result[original] = paths
-    return result
-
-
-def _scalar_one_to_all(
-    snapshot: CSRSnapshot,
-    src: int,
-    wanted: set[int] | None,
-    max_frontier: int | None,
-    time_budget: float | None,
-    stats,
-    start_time: float,
-) -> dict[int, list[Path]]:
-    """The flat tier: the reference loop over CSR list mirrors.
-
-    Statement-for-statement the same search as the python engine — CSR
-    slot order equals ``sorted_neighbors`` × canonical parallel-cost
-    order, so pushes, tie-breaker draws, and therefore every answer
-    and witness are bit-identical.
-    """
-    indptr, indices = snapshot.adjacency_lists()
-    cost_rows = snapshot.cost_tuples()
-    node_ids = snapshot.node_ids.tolist()
-
-    frontiers: list[NodeFrontier | None] = [None] * snapshot.num_nodes
-    best_labels: dict[int, list[Label]] = {}
-    tie_breaker = itertools.count()
-    heap: list[tuple[float, int, Label]] = []
-
-    def push(label: Label) -> None:
-        frontier = frontiers[label.node]
-        if frontier is None:
-            frontier = frontiers[label.node] = NodeFrontier()
-        if max_frontier is not None and len(frontier) >= max_frontier:
-            return
-        if not frontier.try_add(label.cost):
-            stats.pruned_by_frontier += 1
-            return
-        stats.pushes += 1
-        heapq.heappush(heap, (sum(label.cost), next(tie_breaker), label))
-
-    push(Label(src, (0.0,) * snapshot.dim))
-
-    loop_count = 0
-    while heap:
-        if (
-            time_budget is not None
-            and loop_count & 511 == 0
-            and time.perf_counter() - start_time > time_budget
-        ):
-            stats.timed_out = True
-            break
-        loop_count += 1
-        _, _, label = heapq.heappop(heap)
-        frontier = frontiers[label.node]
-        if not frontier.is_current(label.cost):
-            continue
-        stats.expansions += 1
-        kept = best_labels.setdefault(label.node, [])
-        kept[:] = [old for old in kept if frontier.is_current(old.cost)]
-        kept.append(label)
-        cost = label.cost
-        for k in range(indptr[label.node], indptr[label.node + 1]):
-            extended = tuple(c + w for c, w in zip(cost, cost_rows[k]))
-            push(Label(indices[k], extended, parent=label))
-        if len(heap) > stats.max_heap_size:
-            stats.max_heap_size = len(heap)
-
-    stats.frontier_nodes = sum(1 for f in frontiers if f is not None)
-    return _collect_results(best_labels, frontiers, node_ids, wanted)
-
-
-def _bucket_one_to_all(
-    snapshot: CSRSnapshot,
-    src: int,
-    wanted: set[int] | None,
-    max_frontier: int | None,
-    time_budget: float | None,
-    stats,
-    start_time: float,
-    bucket_size: int,
-) -> dict[int, list[Path]]:
-    """The bucket tier: numpy dominance masks, answer-set-equal."""
-    dim = snapshot.dim
-    n = snapshot.num_nodes
-    indptr = snapshot.indptr.astype(np.int64, copy=False)
-    indices = snapshot.indices.astype(np.int64, copy=False)
-    cost_mat = snapshot.costs
-    node_ids = snapshot.node_ids.tolist()
-
-    frontiers: list[_BatchFrontier | None] = [None] * n
-    best_labels: dict[int, list[Label]] = {}
-    tie_breaker = itertools.count()
-    heap: list[tuple[float, int, Label]] = []
-
-    root = Label(src, (0.0,) * dim)
-    root_front = frontiers[src] = _BatchFrontier(dim)
-    root_front.try_add(root.cost)
-    stats.pushes += 1
-    heapq.heappush(heap, (0.0, next(tie_breaker), root))
-    stats.max_heap_size = max(stats.max_heap_size, 1)
-
-    while heap:
-        if time_budget is not None and (
-            time.perf_counter() - start_time > time_budget
-        ):
-            stats.timed_out = True
-            break
-
-        bucket: list[Label] = []
-        while heap and len(bucket) < bucket_size:
-            _, _, label = heapq.heappop(heap)
-            if frontiers[label.node].is_current(label.cost):
-                bucket.append(label)
-        if not bucket:
-            continue
-        stats.expansions += len(bucket)
-
-        # Every current popped label is (for now) a skyline answer at
-        # its node — same refresh bookkeeping as the scalar loop.
-        for label in bucket:
-            front = frontiers[label.node]
-            kept = best_labels.setdefault(label.node, [])
-            kept[:] = [old for old in kept if front.is_current(old.cost)]
-            kept.append(label)
-
-        nodes = np.fromiter(
-            (label.node for label in bucket), dtype=np.int64, count=len(bucket)
-        )
-        costs = np.array([label.cost for label in bucket], dtype=np.float64)
-        label_of, slots, cand_nodes = _bucket_candidates(indptr, indices, nodes)
-        if not len(slots):
-            continue
-        extended = costs[label_of] + cost_mat[slots]
-
-        batch_front = _FrontierBatch(frontiers, cand_nodes, dim)
-        reject = batch_front.reject_mask(extended)
-        reject |= _intra_bucket_reject(cand_nodes, extended)
-        stats.pruned_by_frontier += int(reject.sum())
-        keep_pos = np.nonzero(~reject)[0]
-        if not len(keep_pos):
-            continue
-
-        keys = extended[keep_pos].sum(axis=1)
-        ext_rows = extended[keep_pos].tolist()
-        parents = label_of[keep_pos]
-        for row, key, parent_i, neighbor in zip(
-            ext_rows,
-            keys.tolist(),
-            parents.tolist(),
-            cand_nodes[keep_pos].tolist(),
-        ):
-            ext = tuple(row)
-            front = frontiers[neighbor]
-            if front is None:
-                front = frontiers[neighbor] = _BatchFrontier(dim)
-            if max_frontier is not None and len(front.current) >= max_frontier:
-                stats.pruned_by_frontier += 1
-                continue
-            front.append(ext)
-            stats.pushes += 1
-            heapq.heappush(
-                heap,
-                (key, next(tie_breaker), Label(neighbor, ext, parent=bucket[parent_i])),
-            )
-        batch_front.evict_dominated(keep_pos, extended[keep_pos])
-        if len(heap) > stats.max_heap_size:
-            stats.max_heap_size = len(heap)
-
-    stats.frontier_nodes = sum(1 for f in frontiers if f is not None)
-    return _collect_results(best_labels, frontiers, node_ids, wanted)

@@ -171,7 +171,6 @@ def build_corridor(
     generation: int = 0,
     time_budget: float | None = None,
     tracer: Tracer | None = None,
-    engine: str = "auto",
 ) -> Corridor:
     """Build the k-hop corridor around the backbone answer for (s, t).
 
@@ -181,8 +180,7 @@ def build_corridor(
     so the seeds' costs are achievable), unions the walk node sets, and
     expands ``radius`` BFS hops around them.  ``time_budget`` caps the
     backbone query only; the restricted search spends whatever the
-    caller has left.  ``engine`` selects the kernel for the backbone
-    query's top-graph phase, exactly as in :func:`backbone_query`.
+    caller has left.
     """
     started = time.perf_counter()
     tracer = resolve_tracer(tracer)
@@ -191,7 +189,7 @@ def build_corridor(
     ) as span:
         sketch = backbone_query(
             index, source, target, time_budget=time_budget,
-            tracer=tracer, engine=engine,
+            tracer=tracer,
         )
         graph = index.original_graph
         nodes: set[int] = {source, target}

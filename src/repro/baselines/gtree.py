@@ -20,6 +20,7 @@ import heapq
 import time
 from dataclasses import dataclass, field
 
+from repro.accel.csr import CSRSnapshot
 from repro.errors import BuildError, QueryError
 from repro.graph.mcrn import MultiCostGraph
 from repro.paths.dominance import CostVector
@@ -124,12 +125,15 @@ class GTreeIndex:
 
     def _fill_leaf_matrix(self, node: GTreeNode) -> None:
         subgraph = self.graph.induced_subgraph(node.vertices)
+        snapshot = CSRSnapshot.from_graph(subgraph)
         interesting = set(node.borders)
         for border in node.borders:
             self._check_budget()
             if not subgraph.has_node(border):
                 continue
-            reached = one_to_all_skyline(subgraph, border, targets=interesting)
+            reached = one_to_all_skyline(
+                subgraph, border, targets=interesting, snapshot=snapshot
+            )
             for other, paths in reached.items():
                 if other <= border:
                     continue
@@ -170,9 +174,12 @@ class GTreeIndex:
         assembled = self._assembled_graph(node)
         interesting = [b for b in node.borders if assembled.has_node(b)]
         target_set = set(interesting)
+        snapshot = CSRSnapshot.from_graph(assembled)
         for border in interesting:
             self._check_budget()
-            reached = one_to_all_skyline(assembled, border, targets=target_set)
+            reached = one_to_all_skyline(
+                assembled, border, targets=target_set, snapshot=snapshot
+            )
             for other, paths in reached.items():
                 if other <= border:
                     continue

@@ -43,6 +43,7 @@ from repro.graph.io import (
 from repro.graph.mcrn import MultiCostGraph
 from repro.graph.stats import graph_stats
 from repro.search.bbs import skyline_paths
+from repro.service.engine import check_time_budget
 
 
 def _load_graph(gr_path: str) -> MultiCostGraph:
@@ -110,7 +111,6 @@ def cmd_build(args: argparse.Namespace) -> int:
     index = build_backbone_index(
         graph,
         _params_from(args),
-        engine=args.build_engine,
         build_workers=args.build_workers,
     )
     elapsed = time.perf_counter() - started
@@ -324,13 +324,6 @@ def _serve_batch_mp(args: argparse.Namespace, graph, index, pairs,
     """serve-batch with ``--engine mp``: a forked worker cohort."""
     from repro.mp import MPBatchServer, MPQueryError
 
-    if args.kernel == "python":
-        print(
-            "error: --engine mp serves from the shared CSR snapshot; "
-            "--kernel python is thread-only",
-            file=sys.stderr,
-        )
-        return 1
     server = MPBatchServer(
         graph,
         index=index,
@@ -340,7 +333,6 @@ def _serve_batch_mp(args: argparse.Namespace, graph, index, pairs,
         default_time_budget=args.budget,
         corridor_radius=args.corridor_radius,
         quality_target=args.quality_target,
-        search_engine="batch" if args.kernel == "batch" else "flat",
         tracer=tracer,
         events=events,
     )
@@ -382,16 +374,18 @@ def _serve_batch_mp(args: argparse.Namespace, graph, index, pairs,
         )
         if args.verify:
             from repro.qa.invariants import identical_answer_errors
-            from repro.service.batch import execute_batch as _execute
 
-            baseline = _execute(
-                server.engine, pairs, max_workers=1, mode=args.mode,
-                time_budget=args.budget, use_cache=False,
-            )
+            # Per-query serving, as the workers do it: a fused batch
+            # would be answer-set-equal but not bit-identical.
+            baseline = [
+                server.engine.query(
+                    source, target, mode=args.mode,
+                    time_budget=args.budget, use_cache=False,
+                )
+                for source, target in pairs
+            ]
             mismatches = 0
-            for pair, single, multi in zip(
-                pairs, baseline.responses, outcome.responses
-            ):
+            for pair, single, multi in zip(pairs, baseline, outcome.responses):
                 if multi is None:
                     mismatches += 1
                     continue
@@ -477,7 +471,6 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
         default_time_budget=args.budget,
         corridor_radius=args.corridor_radius,
         quality_target=args.quality_target,
-        engine=args.kernel,
         tracer=tracer,
         events=events,
     )
@@ -818,7 +811,6 @@ def _qa_config(args: argparse.Namespace):
         check_engine=not args.no_engine,
         check_updates=not args.no_updates,
         check_metamorphic=not args.no_metamorphic,
-        check_batch=not getattr(args, "no_batch", False),
         check_corridor=getattr(args, "corridor", False),
     )
 
@@ -837,7 +829,7 @@ def _print_case_report(report, *, verbose: bool) -> None:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """A/B the search engines on one graph with a random workload."""
+    """A/B production BBS against the reference on a random workload."""
     import statistics
 
     from repro.eval import random_queries
@@ -846,73 +838,56 @@ def cmd_bench(args: argparse.Namespace) -> int:
     queries = random_queries(
         graph, args.queries, seed=args.seed, min_hops=args.min_hops
     )
-    if args.engine == "both":
-        engines = ["python", "flat"]
-    elif args.engine == "all":
-        engines = ["python", "flat", "batch"]
-    else:
-        engines = [args.engine]
+    from repro.accel.csr import CSRSnapshot
+    from repro.qa import reference
 
-    snapshot = None
-    if {"flat", "batch"} & set(engines):
-        from repro.accel.csr import CSRSnapshot
+    started = time.perf_counter()
+    snapshot = CSRSnapshot.from_graph(graph)
+    print(f"CSR snapshot built in {fmt_seconds(time.perf_counter() - started)}")
 
-        started = time.perf_counter()
-        snapshot = CSRSnapshot.from_graph(graph)
-        print(f"CSR snapshot built in {fmt_seconds(time.perf_counter() - started)}")
-
-    timings: dict[str, list[float]] = {}
+    # The reference loop and the production kernel are held
+    # bit-identical: answers must match in order and multiplicity.
+    tiers = {
+        "reference": lambda s, t: reference.skyline_paths(
+            graph, s, t, time_budget=args.budget
+        ),
+        "production": lambda s, t: skyline_paths(
+            graph, s, t, time_budget=args.budget, snapshot=snapshot
+        ),
+    }
+    timings: dict[str, list[float]] = {name: [] for name in tiers}
     answers: dict[str, list] = {}
     for _ in range(args.rounds):
-        for engine in engines:
-            per_engine = timings.setdefault(engine, [])
+        for name, search in tiers.items():
             collected = []
             for query in queries:
                 started = time.perf_counter()
-                result = skyline_paths(
-                    graph,
-                    query.source,
-                    query.target,
-                    engine=engine,
-                    snapshot=snapshot if engine != "python" else None,
-                    time_budget=args.budget,
-                )
-                per_engine.append(time.perf_counter() - started)
+                result = search(query.source, query.target)
+                timings[name].append(time.perf_counter() - started)
                 collected.append([(p.nodes, p.cost) for p in result.paths])
-            answers[engine] = collected
+            answers[name] = collected
+    if answers["reference"] != answers["production"]:
+        print(
+            "error: production answers differ from the reference",
+            file=sys.stderr,
+        )
+        return 2
 
-    # python vs flat is the bit-identity tier: answers must match in
-    # order and multiplicity.  batch is the answer-set tier: the same
-    # path sets, possibly in a different order.
-    if "python" in answers and "flat" in answers:
-        if answers["python"] != answers["flat"]:
-            print("error: engines returned different answers", file=sys.stderr)
-            return 2
-    if "batch" in answers and len(engines) > 1:
-        reference = "flat" if "flat" in answers else "python"
-        for ref_paths, batch_paths in zip(answers[reference], answers["batch"]):
-            if sorted(ref_paths) != sorted(batch_paths):
-                print(
-                    "error: batch engine answer set differs from "
-                    f"{reference}", file=sys.stderr,
-                )
-                return 2
-
-    baseline = statistics.mean(timings[engines[0]])
+    baseline = statistics.mean(timings["reference"])
     rows = []
-    for engine in engines:
-        mean = statistics.mean(timings[engine])
+    for name, seconds in timings.items():
+        mean = statistics.mean(seconds)
         rows.append(
             [
-                engine,
+                name,
                 fmt_seconds(mean),
-                fmt_seconds(max(timings[engine])),
+                fmt_seconds(max(seconds)),
                 f"{baseline / mean:.2f}x",
             ]
         )
     print(
         format_table(
-            ["engine", "mean query", "max query", "speed-up"],
+            ["search", "mean query", "max query", "speed-up"],
             rows,
             title=(
                 f"{len(queries)} queries x {args.rounds} rounds on "
@@ -920,14 +895,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             ),
         )
     )
-    if len(engines) > 1:
-        if "batch" in engines:
-            print(
-                "answers: bit-identical (python/flat), "
-                "answer-set-equal (batch)"
-            )
-        else:
-            print("answers: bit-identical across engines")
+    print("answers: bit-identical to the reference")
 
     if args.mp_workers:
         from repro.mp.benchmark import measure_mp, measure_single_process
@@ -1210,8 +1178,6 @@ def _add_qa_case_options(parser: argparse.ArgumentParser) -> None:
                         help="skip the maintenance-update variants")
     parser.add_argument("--no-metamorphic", action="store_true",
                         help="skip swap/permutation/scaling relations")
-    parser.add_argument("--no-batch", action="store_true",
-                        help="skip the batch-kernel answer-set variant")
     parser.add_argument("--corridor", action="store_true",
                         help="also run the corridor-tier engine variant")
 
@@ -1248,12 +1214,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="binary store (default) or legacy JSON")
     build.add_argument("--verify", action="store_true",
                        help="run structural self-validation after building")
-    build.add_argument("--engine", choices=["python", "flat", "batch"],
-                       default="python", dest="build_engine",
-                       help="construction pipeline: python (scalar "
-                            "reference, default) or flat/batch (CSR "
-                            "one-to-all label kernel + flat fast paths; "
-                            "identical index, measured ~1.9x faster)")
     build.add_argument("--build-workers", type=int, default=1,
                        dest="build_workers",
                        help="label-construction processes; >1 fans "
@@ -1334,14 +1294,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="batch executor: in-process threads (default) "
                             "or a forked worker-process cohort sharing "
                             "one zero-copy CSR snapshot")
-    serve.add_argument("--kernel",
-                       choices=["auto", "flat", "batch", "python"],
-                       default="auto",
-                       help="search-kernel tier: auto (default; flat, "
-                            "escalating to the bucket-vectorized batch "
-                            "kernel above the measured node crossover), "
-                            "or pin flat/batch/python; with --engine mp "
-                            "only flat and batch apply (auto means flat)")
     serve.add_argument("--fail-fast", action="store_true", dest="fail_fast",
                        help="with --engine mp: abort the batch on the "
                             "first worker error (exit code 3)")
@@ -1535,16 +1487,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = bench_sub.add_parser(
         "run",
-        help="time the search engines (python vs flat vs batch kernels) "
-        "on a random workload",
+        help="time production BBS against the reference oracle on a "
+        "random workload (exit 2 if their answers differ)",
     )
     bench.add_argument("graph", help="DIMACS .gr file")
-    bench.add_argument("--engine",
-                       choices=["both", "all", "flat", "python", "batch"],
-                       default="both",
-                       help="which engine(s) to time: both = python+flat "
-                            "(default), all adds the bucket-vectorized "
-                            "batch kernel, or a single engine")
     bench.add_argument("--queries", type=int, default=6,
                        help="workload size (default 6)")
     bench.add_argument("--rounds", type=int, default=3,
@@ -1658,6 +1604,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name in ("budget", "exact_budget"):
+            check_time_budget(getattr(args, name, None))
         return args.handler(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

@@ -47,8 +47,8 @@ def _replay_round_removals(
 ) -> None:
     """Roll back one condensing round without a pre-round graph copy.
 
-    The flat pipeline skips the defensive ``work.copy()`` the reference
-    pipeline takes before each round (the emptied-graph rollback has
+    The builder skips the defensive ``work.copy()`` the reference build
+    (:mod:`repro.qa.reference`) takes before each round (the emptied-graph rollback has
     never been observed: stripping always leaves the last node of a
     component, and cluster condensation keeps its entrances).  If the
     round nevertheless emptied the graph, rebuild it from the round's
@@ -89,7 +89,6 @@ def summarize_levels(
     level_offset: int = 0,
     keep_snapshots: bool = False,
     tracer: Tracer | None = None,
-    engine: str = "python",
     label_pool=None,
 ) -> SummarizationOutcome:
     """Run Algorithm 2's level loop, mutating ``work`` in place.
@@ -98,14 +97,13 @@ def summarize_levels(
     network; ``level_offset`` only affects reported level numbers (a
     maintenance replay starts mid-index).  An enabled ``tracer`` emits
     one ``build.level`` span per constructed level, with nested spans
-    for condensing rounds and segment materialization.  ``engine`` and
-    ``label_pool`` select the construction pipeline (see
-    :func:`repro.core.summarize.condense_round`); both produce the
-    same index as the reference path.
+    for condensing rounds and segment materialization.  ``label_pool``
+    optionally runs label tasks in parallel (see
+    :func:`repro.core.summarize.condense_round`); the index is the same
+    either way.
     """
     outcome = SummarizationOutcome()
     tracer = resolve_tracer(tracer)
-    flat = engine != "python"
 
     while len(outcome.levels) + level_offset < params.max_levels:
         if keep_snapshots:
@@ -131,21 +129,16 @@ def summarize_levels(
                 removed_edges < required_removals
                 and rounds < _MAX_ROUNDS_PER_LEVEL
             ):
-                if flat:
-                    # Rollback insurance without the full graph copy —
-                    # see _replay_round_removals.
-                    snapshot = None
-                    nodes_before_round = [
-                        (node, work.coord(node)) for node in work.nodes()
-                    ]
-                else:
-                    snapshot = work.copy()
+                # Rollback insurance without a full graph copy — see
+                # _replay_round_removals.
+                nodes_before_round = [
+                    (node, work.coord(node)) for node in work.nodes()
+                ]
                 with tracer.span("build.condense_round") as round_span:
                     round_result = condense_round(
                         work,
                         params,
                         tracer=tracer,
-                        engine=engine,
                         label_pool=label_pool,
                     )
                     if round_span.enabled:
@@ -160,15 +153,12 @@ def summarize_levels(
                     # The round would empty the graph; Algorithm 2
                     # requires |G_{i+1}.V| != 0, so undo this round and
                     # stop here.
-                    if snapshot is not None:
-                        work.restore_from(snapshot)
-                    else:
-                        _replay_round_removals(
-                            work, nodes_before_round, round_result
-                        )
+                    _replay_round_removals(
+                        work, nodes_before_round, round_result
+                    )
                     break
                 level_index.absorb(
-                    round_result.index, set(work.nodes()), steal=flat
+                    round_result.index, set(work.nodes()), steal=True
                 )
                 removed_edges += round_result.removed_edge_count
                 clusters += round_result.clusters_condensed
@@ -182,13 +172,11 @@ def summarize_levels(
                 with tracer.span("build.segments") as seg_span:
                     segments = find_single_segments(work)
                     if segments:
-                        aggressive = condense_segments(
-                            work, segments, fast=flat
-                        )
+                        aggressive = condense_segments(work, segments)
                         if aggressive.removed_edges and work.num_nodes > 0:
                             aggressive_used = True
                             level_index.absorb(
-                                aggressive.index, set(work.nodes()), steal=flat
+                                aggressive.index, set(work.nodes()), steal=True
                             )
                             removed_edges += len(aggressive.removed_edges)
                             level_provenance.update(aggressive.provenance)
@@ -198,13 +186,16 @@ def summarize_levels(
                             materialized=aggressive_used,
                         )
 
+            # Counting walks every label: once per level, shared by the
+            # span and the level statistics.
+            label_paths = level_index.path_count()
             if level_span.enabled:
                 level_span.set(
                     removed_edges=removed_edges,
                     rounds=rounds,
                     clusters=clusters,
                     aggressive_used=aggressive_used,
-                    label_paths=level_index.path_count(),
+                    label_paths=label_paths,
                     nodes_after=work.num_nodes,
                 )
 
@@ -221,7 +212,7 @@ def summarize_levels(
                 nodes_before=nodes_before,
                 edges_before=edges_before,
                 removed_edges=removed_edges,
-                label_paths=level_index.path_count(),
+                label_paths=label_paths,
                 aggressive_used=aggressive_used,
                 rounds=rounds,
             )
@@ -238,15 +229,11 @@ def required_edge_removals(graph: MultiCostGraph, params: BackboneParams) -> int
     return max(1, int(params.p * graph.num_edge_entries))
 
 
-_BUILD_ENGINES = ("python", "flat", "batch")
-
-
 def build_backbone_index(
     graph: MultiCostGraph,
     params: BackboneParams | None = None,
     *,
     tracer: Tracer | None = None,
-    engine: str = "python",
     build_workers: int = 1,
 ) -> BackboneIndex:
     """Build the backbone index of a multi-cost road network.
@@ -263,14 +250,6 @@ def build_backbone_index(
         Observability hook; defaults to the process-wide tracer.  When
         enabled, construction emits a ``build.index`` span tree (one
         ``build.level`` child per level, plus landmark construction).
-    engine:
-        Construction pipeline.  ``"python"`` (default) is the scalar
-        reference; ``"flat"`` and ``"batch"`` run label searches on the
-        CSR one-to-all kernel and enable the one-pass discovery /
-        local-scan / steal-merge fast paths.  All engines produce an
-        index serving identical answers; ``"flat"``/``"batch"`` differ
-        only in internal kernel tier (labels themselves are built on
-        the flat tier either way, keeping construction bit-identical).
     build_workers:
         Number of label-construction processes.  With ``N > 1``
         independent clusters' labels build in parallel on a forked
@@ -286,11 +265,6 @@ def build_backbone_index(
             "build_backbone_index expects an undirected network; model "
             "directed roads as undirected edges per the paper's Section 3"
         )
-    if engine not in _BUILD_ENGINES:
-        raise BuildError(
-            f"unknown build engine {engine!r}; expected one of "
-            f"{', '.join(_BUILD_ENGINES)}"
-        )
     if build_workers < 1:
         raise BuildError(f"build_workers must be >= 1, got {build_workers}")
 
@@ -300,7 +274,7 @@ def build_backbone_index(
     if build_workers > 1:
         from repro.mp.build_pool import BuildLabelPool
 
-        label_pool = BuildLabelPool(build_workers, engine=engine)
+        label_pool = BuildLabelPool(build_workers)
     try:
         with tracer.span(
             "build.index", nodes=graph.num_nodes, edges=graph.num_edges
@@ -308,7 +282,7 @@ def build_backbone_index(
             work = graph.copy()
             outcome = summarize_levels(
                 work, params, required_edge_removals(graph, params),
-                tracer=tracer, engine=engine, label_pool=label_pool,
+                tracer=tracer, label_pool=label_pool,
             )
             top_graph = outcome.final_graph
             assert top_graph is not None

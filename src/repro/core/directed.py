@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.accel.csr import CSRSnapshot
 from repro.core.builder import build_backbone_index
 from repro.core.index import BackboneIndex
 from repro.core.params import BackboneParams
@@ -114,6 +115,7 @@ class DirectedBackboneIndex:
         self._forward_cache: dict[tuple[int, ...], list[Path]] = {}
         self._backward_cache: dict[tuple[int, ...], list[Path]] = {}
         self.directed_top = self._directed_top_graph()
+        self._top_snapshot = CSRSnapshot.from_graph(self.directed_top)
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -236,7 +238,8 @@ class DirectedBackboneIndex:
             ]
             bounds = ExactBounds(top, target_possible)
             outcome = many_to_many_skyline(
-                top, seeds, target_possible, bounds=bounds
+                top, seeds, target_possible, bounds=bounds,
+                snapshot=self._top_snapshot,
             )
             for landing, hits in outcome.hits.items():
                 suffixes = backward[landing].paths()

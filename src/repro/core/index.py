@@ -107,16 +107,14 @@ class BackboneIndex:
     # accelerator snapshot
     # ------------------------------------------------------------------
 
-    def csr_top(self, *, build: bool = True, tracer=None):
+    def csr_top(self, *, tracer=None):
         """The CSR snapshot of the top graph G_L, built lazily.
 
         The snapshot is cached on the index; an index is immutable after
         construction (maintenance builds a new one), so the cache never
-        goes stale.  ``build=False`` only returns an already-available
-        snapshot — the probe used by ``engine="auto"`` callers that must
-        not pay a build on the query path.
+        goes stale.
         """
-        if self._csr_top is None and build:
+        if self._csr_top is None:
             from repro.accel.csr import CSRSnapshot
 
             self._csr_top = CSRSnapshot.from_graph(self.top_graph, tracer=tracer)

@@ -19,12 +19,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.errors import NodeNotFoundError
-from repro.graph.mcrn import MultiCostGraph
 from repro.paths.dominance import CostVector
 from repro.paths.frontier import PathSet
 from repro.paths.path import Path
-from repro.search.onetoall import one_to_all_skyline
 
 CostedEdge = tuple[int, int, CostVector]
 
@@ -151,56 +148,29 @@ class LabelTask:
     max_frontier: int | None = None
 
 
-def run_label_task(
-    task: LabelTask, *, engine: str = "python"
-) -> list[tuple[int, int, Path]]:
+def run_label_task(task: LabelTask) -> list[tuple[int, int, Path]]:
     """Execute one label task, returning ``(node, entrance, path)`` rows.
 
-    Entrances are visited in sorted order and each entrance's reached
-    nodes in first-pop order, so the row sequence — and therefore every
-    downstream ``PathSet`` insertion order — is deterministic and
-    independent of who runs the task.
-
-    ``engine="python"`` searches a restricted :class:`MultiCostGraph`;
-    any other engine freezes the removed edges straight into a
-    :class:`~repro.accel.csr.CSRSnapshot` (skipping graph-object churn)
-    and runs the flat one-to-all kernel.  The flat tier is pinned
-    (``bucket_size=None``) so both engines emit bit-identical rows:
-    cluster subgraphs sit far below the bucket kernel's crossover
-    anyway, and bit-identity is what lets a flat-pipeline build serve
-    the exact answers of a scalar build.
+    The removed edges freeze straight into a
+    :class:`~repro.accel.csr.CSRSnapshot` (no restricted graph object)
+    and the flat one-to-all kernel runs once per entrance.  Entrances
+    are visited in sorted order and each entrance's reached nodes in
+    first-pop order, so the row sequence — and therefore every
+    downstream ``PathSet`` insertion order — is deterministic,
+    independent of who runs the task, and bit-identical to the
+    reference build's restricted-graph searches
+    (:mod:`repro.qa.reference`).
     """
     if not task.removed_edges or not task.entrances:
         return []
-    rows: list[tuple[int, int, Path]] = []
-    cluster_nodes = task.cluster_nodes
-    if engine == "python":
-        restricted = MultiCostGraph(task.dim)
-        for node in cluster_nodes:
-            restricted.add_node(node)
-        for u, v, cost in task.removed_edges:
-            restricted.add_edge(u, v, cost)
-        for entrance in sorted(task.entrances):
-            if not restricted.has_node(entrance):
-                continue
-            reached = one_to_all_skyline(
-                restricted, entrance, max_frontier=task.max_frontier
-            )
-            for node, paths in reached.items():
-                if node == entrance or node not in cluster_nodes:
-                    continue
-                for path in paths:
-                    rows.append((node, entrance, path.reverse()))
-        return rows
-
     from repro.accel.csr import CSRSnapshot
     from repro.accel.onetoall_kernel import flat_label_rows
 
     snapshot = CSRSnapshot.from_edges(
-        task.dim, cluster_nodes, task.removed_edges
+        task.dim, task.cluster_nodes, task.removed_edges
     )
     return flat_label_rows(
-        snapshot, cluster_nodes, task.entrances, task.max_frontier
+        snapshot, task.cluster_nodes, task.entrances, task.max_frontier
     )
 
 
@@ -220,7 +190,6 @@ def build_cluster_labels(
     *,
     into: LevelIndex,
     max_frontier: int | None = None,
-    engine: str = "python",
 ) -> None:
     """Build labels for one condensed cluster (Definition 4.7).
 
@@ -237,4 +206,4 @@ def build_cluster_labels(
         entrances=entrances,
         max_frontier=max_frontier,
     )
-    record_label_rows(into, run_label_task(task, engine=engine))
+    record_label_rows(into, run_label_task(task))

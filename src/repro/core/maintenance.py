@@ -133,7 +133,13 @@ class MaintainableIndex:
     def update_edge_cost(
         self, u: int, v: int, old_cost: Sequence[float], new_cost: Sequence[float]
     ) -> None:
-        """Change one road's cost vector and repair the index."""
+        """Change one road's cost vector and repair the index.
+
+        ``new_cost`` is validated before anything mutates, so a rejected
+        update leaves the graph, the index, and the generation as they
+        were.
+        """
+        self._graph.check_cost(new_cost)
         self._graph.remove_edge(u, v, old_cost)
         self._graph.add_edge(u, v, new_cost)
         level = self._deepest_level_with_edge(u, v)
@@ -151,6 +157,8 @@ class MaintainableIndex:
             raise GraphError(f"node {node} already exists")
         if not edges:
             raise GraphError("a new junction needs at least one incident road")
+        for _, cost in edges:
+            self._graph.check_cost(cost)
         self._graph.add_node(node, coord)
         for neighbor, cost in edges:
             self._graph.add_edge(node, neighbor, cost)

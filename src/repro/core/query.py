@@ -143,20 +143,6 @@ def _grow(
     return reached, False
 
 
-def _top_snapshot(index: BackboneIndex, engine: str, tracer: Tracer | None):
-    """The CSR snapshot the top-graph search should use, per ``engine``.
-
-    ``"flat"`` and ``"batch"`` build (and cache on the index) the
-    snapshot; ``"auto"`` only reuses one that already exists, so queries
-    never pay a build.
-    """
-    if engine in ("flat", "batch"):
-        return index.csr_top(tracer=tracer)
-    if engine == "auto":
-        return index.csr_top(build=False)
-    return None
-
-
 def _connect_through_top(
     index: BackboneIndex,
     source_map: dict[int, PathSet],
@@ -165,7 +151,6 @@ def _connect_through_top(
     stats: QueryStats,
     deadline: float | None,
     tracer: Tracer | None = None,
-    engine: str = "auto",
 ) -> None:
     """Phase 3: second-type paths through the most abstracted graph."""
     top = index.top_graph
@@ -185,13 +170,6 @@ def _connect_through_top(
         for prefix in source_map[node]
     ]
     bounds = LandmarkLowerBounds(index.landmarks, target_possible)
-    snapshot = _top_snapshot(index, engine, tracer)
-    if snapshot is None:
-        kernel = "python"
-    elif engine == "batch":
-        kernel = "batch"
-    else:
-        kernel = "flat"
     outcome = many_to_many_skyline(
         top,
         seeds,
@@ -199,8 +177,7 @@ def _connect_through_top(
         bounds=bounds,
         time_budget=remaining,
         tracer=tracer,
-        engine=kernel,
-        snapshot=snapshot,
+        snapshot=index.csr_top(tracer=tracer),
     )
     stats.mbbs_stats = outcome.stats
     if outcome.stats.timed_out:
@@ -221,7 +198,6 @@ def backbone_query(
     *,
     time_budget: float | None = None,
     tracer: Tracer | None = None,
-    engine: str = "auto",
 ) -> QueryResult:
     """Approximate skyline paths between two nodes (Algorithm 3).
 
@@ -232,13 +208,9 @@ def backbone_query(
     query in a ``query.backbone`` span with one child span per phase
     (``query.phase.grow_s`` / ``grow_t`` / ``connect_top``).
 
-    ``engine`` selects the kernel for the top-graph m_BBS phase (the
-    dominant search): ``"flat"`` and ``"batch"`` build and cache the
-    index's CSR snapshot, ``"auto"`` (default) uses it when already
-    built, and ``"python"`` never does.  ``"batch"`` runs the
-    bucket-vectorized kernel (answer-set-equal, counters differ — see
-    :mod:`repro.accel.batch_kernel`).  The grow phases walk per-level
-    label structures, not a graph, so the option does not affect them.
+    The top-graph m_BBS phase runs over the index's cached CSR
+    snapshot (:meth:`BackboneIndex.csr_top`, built on first use); the
+    grow phases walk per-level label structures, not a graph.
     """
     graph = index.original_graph
     if not graph.has_node(source):
@@ -295,7 +267,7 @@ def backbone_query(
         with tracer.span("query.phase.connect_top") as span:
             _connect_through_top(
                 index, source_map, target_map, results, stats, deadline,
-                tracer=tracer, engine=engine,
+                tracer=tracer,
             )
             if span.enabled and stats.mbbs_stats is not None:
                 span.counters.update(stats.mbbs_stats.as_span_counters())
@@ -323,7 +295,6 @@ def backbone_query_shared_source(
     *,
     time_budget: float | None = None,
     tracer: Tracer | None = None,
-    engine: str = "auto",
 ) -> dict[int, QueryResult]:
     """Answer many queries from one source, growing S only once.
 
@@ -422,7 +393,7 @@ def backbone_query_shared_source(
                 with tracer.span("query.phase.connect_top") as span:
                     _connect_through_top(
                         index, source_map, target_map, results, stats,
-                        deadline, tracer=tracer, engine=engine,
+                        deadline, tracer=tracer,
                     )
                     if span.enabled and stats.mbbs_stats is not None:
                         span.counters.update(
@@ -451,7 +422,7 @@ def backbone_query_shared_source(
 
 
 def backbone_one_to_all(
-    index: BackboneIndex, source: int, *, engine: str = "auto"
+    index: BackboneIndex, source: int
 ) -> dict[int, list[Path]]:
     """Approximate one-to-all skyline paths (Section 5 extension).
 
@@ -461,12 +432,8 @@ def backbone_one_to_all(
     concatenation.  Returns a map node -> approximate skyline paths
     (the source maps to its trivial path).
 
-    ``engine`` selects the kernel tier for the G_L sweeps — same
-    contract as :func:`backbone_query`: ``"flat"``/``"batch"`` run the
-    CSR one-to-all kernel over the index's cached top snapshot,
-    ``"auto"`` reuses that snapshot only when it already exists, and
-    ``"python"`` keeps the dict-based search.  Flat answers are
-    bit-identical to python; batch answers are equal as path sets.
+    The G_L sweeps run over the index's cached top snapshot, like the
+    m_BBS phase of :func:`backbone_query`.
     """
     graph = index.original_graph
     if not graph.has_node(source):
@@ -484,18 +451,12 @@ def backbone_one_to_all(
 
     # Sweep the most abstracted graph from every surviving key.
     top = index.top_graph
-    snapshot = _top_snapshot(index, engine, None)
-    if snapshot is None:
-        kernel = "python"
-    else:
-        kernel = "batch" if engine == "batch" else "flat"
+    snapshot = index.csr_top()
     for node in list(answers.keys()):
         if not top.has_node(node):
             continue
         prefixes = answers[node].paths()
-        sweep = one_to_all_skyline(
-            top, node, engine=kernel, snapshot=snapshot
-        )
+        sweep = one_to_all_skyline(top, node, snapshot=snapshot)
         for landing, paths in sweep.items():
             if landing == node:
                 continue

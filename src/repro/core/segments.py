@@ -26,7 +26,6 @@ from repro.paths.dominance import (
     dominates_or_equal,
     zero_cost,
 )
-from repro.paths.frontier import PathSet
 from repro.paths.path import Path
 
 
@@ -117,45 +116,19 @@ def find_single_segments(graph: MultiCostGraph) -> list[Segment]:
     return segments
 
 
-def _segment_prefixes(
-    graph: MultiCostGraph, nodes: list[int]
-) -> list[PathSet]:
-    """Skyline paths from ``nodes[0]`` to each position along a segment."""
-    dim = graph.dim
-    prefixes: list[PathSet] = [PathSet([Path.trivial(nodes[0], dim)])]
-    for u, v in zip(nodes, nodes[1:]):
-        grown = PathSet()
-        for prefix in prefixes[-1]:
-            for cost in graph.edge_costs(u, v):
-                grown.add(prefix.concat(Path((u, v), cost)))
-        prefixes.append(grown)
-    return prefixes
-
-
-def _segment_cost_prefixes(
-    graph: MultiCostGraph, nodes: list[int]
-) -> list[list[CostVector]]:
-    """Skyline *costs* from ``nodes[0]`` to each position along a segment.
-
-    Every skyline path to position ``k`` walks the same node sequence
-    ``nodes[0..k]`` — only the parallel-edge cost choices differ — so
-    the per-position ``PathSet`` of :func:`_segment_prefixes` reduces to
-    a cost skyline (payload equality collapses to cost equality).  The
-    insertion discipline below is ``ParetoSet.add`` with
-    ``keep_equal_costs=True`` under that collapse, so each returned list
-    matches the corresponding ``PathSet``'s costs value for value, in
-    the same order.
-    """
-    chain_costs = [
-        graph.edge_costs(u, v) for u, v in zip(nodes, nodes[1:])
-    ]
-    return _chain_cost_prefixes(graph.dim, chain_costs)
-
-
 def _chain_cost_prefixes(
     dim: int, chain_costs: list[list[CostVector]]
 ) -> list[list[CostVector]]:
-    """Positional cost skylines over pre-fetched per-edge cost lists."""
+    """Skyline *costs* from a chain's start to each position along it.
+
+    ``chain_costs[k]`` lists the parallel costs of the chain's k-th
+    edge.  Every skyline path to position ``k`` walks the same node
+    sequence — only the parallel-edge cost choices differ — so the
+    per-position path skyline reduces to a cost skyline.  The insertion
+    discipline is ``ParetoSet.add`` with ``keep_equal_costs=True``
+    under that collapse, so each list matches the path-set formulation
+    of :mod:`repro.qa.reference` value for value, in the same order.
+    """
     skylines: list[list[CostVector]] = [[zero_cost(dim)]]
     for edge_costs in chain_costs:
         grown: list[CostVector] = []
@@ -174,62 +147,38 @@ def _chain_cost_prefixes(
 
 
 def condense_segments(
-    graph: MultiCostGraph, segments: list[Segment], *, fast: bool = False
+    graph: MultiCostGraph, segments: list[Segment]
 ) -> AggressiveResult:
     """Condense segments into shortcuts, mutating ``graph`` (Ex. 4.9).
 
     Every interior node receives labels to both segment endpoints (its
     highway entrances).  When a segment's endpoints coincide (a
     lollipop), no shortcut is added — the interior is reachable only
-    through that one endpoint anyway.
-
-    ``fast`` (the flat construction pipeline) computes per-position
-    cost skylines instead of full path sets and materializes each
-    label path once, directly in reversed (label) orientation — the
-    result is bit-identical to the reference path (see
-    :func:`_segment_cost_prefixes`).
+    through that one endpoint anyway.  Labels come from per-position
+    cost skylines (:func:`_chain_cost_prefixes`), each path
+    materialized once, directly in label orientation.
     """
     result = AggressiveResult()
     for segment in segments:
         nodes = segment.nodes
         if any(node in result.removed_nodes for node in nodes):
             continue  # already consumed by an overlapping segment
-        if fast:
-            chain_costs = [
-                graph.edge_costs(u, v) for u, v in zip(nodes, nodes[1:])
-            ]
-            cost_prefixes = _chain_cost_prefixes(graph.dim, chain_costs)
-            cost_suffixes = _chain_cost_prefixes(
-                graph.dim, chain_costs[::-1]
-            )[::-1]
-            for position, node in enumerate(nodes[1:-1], start=1):
-                toward_left = tuple(nodes[position::-1])
-                for cost in cost_prefixes[position]:
-                    result.index.add_path(
-                        node, segment.left, Path(toward_left, cost)
-                    )
-                toward_right = tuple(nodes[position:])
-                for cost in cost_suffixes[position]:
-                    result.index.add_path(
-                        node, segment.right, Path(toward_right, cost)
-                    )
-            shortcut_costs = cost_prefixes[-1]
-            through_nodes = tuple(nodes)
-        else:
-            prefixes = _segment_prefixes(graph, nodes)
-            suffixes = _segment_prefixes(graph, nodes[::-1])[::-1]
-            # suffixes[k] holds skyline paths right-endpoint -> nodes[k];
-            # reverse each to get nodes[k] -> right-endpoint.
-
-            for position, node in enumerate(nodes[1:-1], start=1):
-                for prefix in prefixes[position]:
-                    result.index.add_path(node, segment.left, prefix.reverse())
-                for suffix in suffixes[position]:
-                    result.index.add_path(node, segment.right, suffix.reverse())
-            shortcut_costs = [through.cost for through in prefixes[-1]]
-            # Every through path walks the full chain, so the node
-            # sequence is shared — same as the fast branch.
-            through_nodes = tuple(nodes)
+        chain_costs = [
+            graph.edge_costs(u, v) for u, v in zip(nodes, nodes[1:])
+        ]
+        cost_prefixes = _chain_cost_prefixes(graph.dim, chain_costs)
+        cost_suffixes = _chain_cost_prefixes(graph.dim, chain_costs[::-1])[::-1]
+        for position, node in enumerate(nodes[1:-1], start=1):
+            toward_left = tuple(nodes[position::-1])
+            for cost in cost_prefixes[position]:
+                result.index.add_path(node, segment.left, Path(toward_left, cost))
+            toward_right = tuple(nodes[position:])
+            for cost in cost_suffixes[position]:
+                result.index.add_path(
+                    node, segment.right, Path(toward_right, cost)
+                )
+        shortcut_costs = cost_prefixes[-1]
+        through_nodes = tuple(nodes)
 
         for u, v in zip(nodes, nodes[1:]):
             for cost in graph.edge_costs(u, v):

@@ -38,7 +38,6 @@ from repro.paths.dominance import (
     dominates,
     dominates_or_equal,
 )
-from repro.paths.frontier import PathSet
 from repro.paths.path import Path
 
 
@@ -65,7 +64,7 @@ class RoundResult:
         return bool(self.removed_nodes or self.removed_edges)
 
 
-def strip_degree_one(graph: MultiCostGraph, *, fast: bool = False) -> RoundResult:
+def strip_degree_one(graph: MultiCostGraph) -> RoundResult:
     """Remove dangling trees, labeling removed nodes to their anchors.
 
     "We first remove the degree-1 edges from graph G_i ... until every
@@ -74,96 +73,51 @@ def strip_degree_one(graph: MultiCostGraph, *, fast: bool = False) -> RoundResul
     from; the label paths follow the unique tree route (parallel edges
     contribute a skyline of cost combinations).
 
-    ``fast`` (the flat construction pipeline): every path in a removed
-    node's bucket follows the same unique tree route, so the per-node
-    ``PathSet`` reduces to a cost skyline over parallel-edge cost
-    combinations plus one shared route tuple.  Same insertion
-    discipline, same surviving costs in the same order — the emitted
-    labels are bit-identical to the reference branch.
+    Every path in a removed node's bucket follows the same unique tree
+    route, so the per-node path skyline reduces to a cost skyline over
+    parallel-edge cost combinations plus one shared route tuple — the
+    same labels, in the same order, as the path-set formulation of
+    :mod:`repro.qa.reference`.
     """
     result = RoundResult()
     order = peel_degree_one(graph)
     removed = {node for node, _ in order}
     # Process outermost-anchor first: iterate the peel order in reverse
     # so a node's anchor paths are ready before the node needs them.
-    if fast:
-        skyline_to_anchor: dict[
-            int, tuple[int, tuple[int, ...], list[CostVector]]
-        ] = {}
-        for node, anchor in reversed(order):
-            edge_costs = graph.edge_costs(node, anchor)
-            if anchor in removed:
-                final_anchor, route, anchor_costs = skyline_to_anchor[anchor]
-                route = (node,) + route
-                bucket_costs: list[CostVector] = []
-                for edge_cost in edge_costs:
-                    for continuation in anchor_costs:
-                        candidate = add_costs(edge_cost, continuation)
-                        if any(
-                            dominates_or_equal(kept, candidate)
-                            for kept in bucket_costs
-                        ):
-                            continue
-                        if bucket_costs:
-                            bucket_costs[:] = [
-                                kept
-                                for kept in bucket_costs
-                                if not dominates(candidate, kept)
-                            ]
-                        bucket_costs.append(candidate)
-            else:
-                final_anchor = anchor
-                route = (node, anchor)
-                bucket_costs = []
-                for edge_cost in edge_costs:
-                    candidate = tuple(edge_cost)
-                    if any(
-                        dominates_or_equal(kept, candidate)
-                        for kept in bucket_costs
-                    ):
-                        continue
-                    if bucket_costs:
-                        bucket_costs[:] = [
-                            kept
-                            for kept in bucket_costs
-                            if not dominates(candidate, kept)
-                        ]
-                    bucket_costs.append(candidate)
-            skyline_to_anchor[node] = (final_anchor, route, bucket_costs)
-
-        for node, anchor in order:
-            for cost in graph.edge_costs(node, anchor):
-                result.removed_edges.append((node, anchor, cost))
-            final_anchor, route, bucket_costs = skyline_to_anchor[node]
-            for cost in bucket_costs:
-                result.index.add_path(node, final_anchor, Path(route, cost))
-            result.removed_nodes.add(node)
-        for node, _ in order:
-            graph.remove_node(node)
-        return result
-
-    paths_to_anchor: dict[int, tuple[int, PathSet]] = {}
+    skyline_to_anchor: dict[
+        int, tuple[int, tuple[int, ...], list[CostVector]]
+    ] = {}
     for node, anchor in reversed(order):
-        edge_paths = [
-            Path((node, anchor), cost) for cost in graph.edge_costs(node, anchor)
-        ]
+        edge_costs = graph.edge_costs(node, anchor)
         if anchor in removed:
-            final_anchor, anchor_paths = paths_to_anchor[anchor]
-            bucket = PathSet()
-            for edge_path in edge_paths:
-                for continuation in anchor_paths:
-                    bucket.add(edge_path.concat(continuation))
+            final_anchor, route, anchor_costs = skyline_to_anchor[anchor]
+            route = (node,) + route
+            candidates = [
+                add_costs(edge_cost, continuation)
+                for edge_cost in edge_costs
+                for continuation in anchor_costs
+            ]
         else:
             final_anchor = anchor
-            bucket = PathSet(edge_paths)
-        paths_to_anchor[node] = (final_anchor, bucket)
+            route = (node, anchor)
+            candidates = [tuple(edge_cost) for edge_cost in edge_costs]
+        bucket_costs: list[CostVector] = []
+        for candidate in candidates:
+            if any(dominates_or_equal(kept, candidate) for kept in bucket_costs):
+                continue
+            if bucket_costs:
+                bucket_costs[:] = [
+                    kept for kept in bucket_costs if not dominates(candidate, kept)
+                ]
+            bucket_costs.append(candidate)
+        skyline_to_anchor[node] = (final_anchor, route, bucket_costs)
 
     for node, anchor in order:
         for cost in graph.edge_costs(node, anchor):
             result.removed_edges.append((node, anchor, cost))
-        final_anchor, bucket = paths_to_anchor[node]
-        for path in bucket:
-            result.index.add_path(node, final_anchor, path)
+        final_anchor, route, bucket_costs = skyline_to_anchor[node]
+        for cost in bucket_costs:
+            result.index.add_path(node, final_anchor, Path(route, cost))
         result.removed_nodes.add(node)
     for node, _ in order:
         graph.remove_node(node)
@@ -197,19 +151,17 @@ def bfs_partitions(graph: MultiCostGraph, m_max: int) -> Clustering:
 
 
 def _discover_clusters(
-    graph: MultiCostGraph, params: BackboneParams, *, fast: bool = False
+    graph: MultiCostGraph, params: BackboneParams
 ) -> Clustering:
     if params.clustering is ClusteringStrategy.BFS:
         return bfs_partitions(graph, params.m_max)
-    if fast:
-        coefficients, cardinalities = all_coefficient_stats(graph)
-        return find_dense_clusters(
-            graph,
-            params,
-            coefficients=coefficients,
-            cardinalities=cardinalities,
-        )
-    return find_dense_clusters(graph, params)
+    coefficients, cardinalities = all_coefficient_stats(graph)
+    return find_dense_clusters(
+        graph,
+        params,
+        coefficients=coefficients,
+        cardinalities=cardinalities,
+    )
 
 
 def condense_round(
@@ -217,7 +169,6 @@ def condense_round(
     params: BackboneParams,
     *,
     tracer: Tracer | None = None,
-    engine: str = "python",
     label_pool=None,
 ) -> RoundResult:
     """One full condensing round: strip degree-1, then condense clusters.
@@ -228,27 +179,25 @@ def condense_round(
 
     Condensing decisions run first, collecting one pure
     :class:`LabelTask` per cluster; the tasks then execute after the
-    graph has mutated — serially with ``engine`` (clusters' removed
-    edges are captured costed, so nothing depends on the live graph),
-    or on ``label_pool`` (a
-    :class:`repro.mp.build_pool.BuildLabelPool`), whose results merge
-    in task order and therefore reproduce the serial construction
-    exactly.  An ``engine`` other than ``"python"`` gates the flat
-    pipeline: one-pass coefficient tables, cluster-local spanning
-    scans, CSR-kernel label searches, and steal-merge absorption — all
-    decision- and label-identical to the reference path.
+    graph has mutated — serially (clusters' removed edges are captured
+    costed, so nothing depends on the live graph), or on ``label_pool``
+    (a :class:`repro.mp.build_pool.BuildLabelPool`), whose results
+    merge in task order and therefore reproduce the serial construction
+    exactly.  Coefficient tables come from one pass, cluster edges from
+    cluster-local scans, labels from the CSR one-to-all kernel, and
+    round labels merge by steal — all decision- and label-identical to
+    the scalar reference build (:mod:`repro.qa.reference`).
     """
     tracer = resolve_tracer(tracer)
-    flat = engine != "python"
     with tracer.span("build.strip_degree_one") as span:
-        strip = strip_degree_one(graph, fast=flat)
+        strip = strip_degree_one(graph)
         if span.enabled:
             span.set(
                 removed_nodes=len(strip.removed_nodes),
                 removed_edges=len(strip.removed_edges),
             )
     with tracer.span("build.cluster_discovery") as span:
-        clustering = _discover_clusters(graph, params, fast=flat)
+        clustering = _discover_clusters(graph, params)
         if span.enabled:
             span.set(clusters=len(clustering.clusters))
 
@@ -262,7 +211,7 @@ def condense_round(
             if len(live_nodes) < 2:
                 continue
             condensed = condense_cluster(
-                graph, live_nodes, policy=params.tree_policy, local_scan=flat
+                graph, live_nodes, policy=params.tree_policy, local_scan=True
             )
             if not condensed.kept_nodes:
                 # The cluster is an entire connected component of the
@@ -311,7 +260,7 @@ def condense_round(
         if label_pool is not None and len(tasks) > 1:
             all_rows = label_pool.run(tasks)
         else:
-            all_rows = [run_label_task(task, engine=engine) for task in tasks]
+            all_rows = [run_label_task(task) for task in tasks]
         for rows in all_rows:
             record_label_rows(cluster_result.index, rows)
 
@@ -319,11 +268,11 @@ def condense_round(
             cspan.set(
                 clusters=cluster_result.clusters_condensed,
                 removed_edges=len(cluster_result.removed_edges),
-                label_paths=cluster_result.index.path_count(),
+                label_rows=sum(len(rows) for rows in all_rows),
             )
 
     surviving = set(graph.nodes())
-    strip.index.absorb(cluster_result.index, surviving, steal=flat)
+    strip.index.absorb(cluster_result.index, surviving, steal=True)
     return RoundResult(
         removed_nodes=strip.removed_nodes | cluster_result.removed_nodes,
         removed_edges=strip.removed_edges + cluster_result.removed_edges,

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass, field
 from statistics import mean
 
+from repro.accel.csr import CSRSnapshot
 from repro.core.index import BackboneIndex
 from repro.errors import QueryError
 from repro.eval.metrics import goodness, rac
@@ -120,6 +121,7 @@ def run_suite(
     the paper's practice of only comparing queries BBS can finish.
     """
     summary = SuiteSummary()
+    snapshot = CSRSnapshot.from_graph(graph) if run_exact else None
     for query in queries:
         record = QueryRecord(query=query)
         if run_exact:
@@ -129,6 +131,7 @@ def run_suite(
                 query.source,
                 query.target,
                 time_budget=exact_time_budget,
+                snapshot=snapshot,
             )
             record.exact_seconds = time.perf_counter() - started
             record.exact_timed_out = result.stats.timed_out

@@ -25,6 +25,8 @@ from repro.errors import (
 )
 from repro.paths.dominance import CostVector, dominates, dominates_or_equal
 
+_INF = float("inf")
+
 Coordinate = tuple[float, float]
 
 
@@ -144,6 +146,24 @@ class MultiCostGraph:
     # edges
     # ------------------------------------------------------------------
 
+    def check_cost(self, cost: Sequence[float]) -> CostVector:
+        """``cost`` as a cost vector, or :class:`GraphError` when the
+        dominance algebra cannot handle it.
+
+        A cost needs this graph's dimension and finite, non-negative
+        components: a NaN is never dominated, so a NaN-cost cycle keeps
+        every skyline search admitting labels forever, and an infinite
+        cost is no road at all.
+        """
+        if len(cost) != self._dim:
+            raise DimensionMismatchError(self._dim, len(cost))
+        vec: CostVector = tuple(float(c) for c in cost)
+        if not all(0.0 <= c < _INF for c in vec):
+            raise GraphError(
+                f"edge costs must be finite and non-negative, got {vec}"
+            )
+        return vec
+
     def add_edge(self, u: int, v: int, cost: Sequence[float]) -> bool:
         """Add an edge with the given cost vector.
 
@@ -152,13 +172,9 @@ class MultiCostGraph:
         endpoints (a dominated parallel edge is not stored; adding a
         dominating one evicts the dominated entries).
         """
-        if len(cost) != self._dim:
-            raise DimensionMismatchError(self._dim, len(cost))
         if u == v:
             raise GraphError(f"self-loop on node {u} is not allowed")
-        vec: CostVector = tuple(float(c) for c in cost)
-        if any(c < 0 for c in vec):
-            raise GraphError(f"edge costs must be non-negative, got {vec}")
+        vec = self.check_cost(cost)
         self.add_node(u)
         self.add_node(v)
         key = self._key(u, v)

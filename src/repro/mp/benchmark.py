@@ -56,9 +56,9 @@ def measure_single_process(
     mode: str = "auto",
     time_budget: float | None = None,
 ) -> dict:
-    """Baseline: the same batch through one in-process flat engine."""
+    """Baseline: the same batch through one in-process engine."""
     engine = SkylineQueryEngine(
-        graph, index=index, params=params, cache_size=0, engine="flat"
+        graph, index=index, params=params, cache_size=0
     )
     engine.warm()
     seconds = []

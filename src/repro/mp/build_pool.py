@@ -25,20 +25,7 @@ from repro.core.labels import LabelTask, run_label_task
 from repro.errors import BuildError
 from repro.paths.path import Path
 
-# Engine the forked workers run tasks with; set once per pool via the
-# initializer so task payloads stay lean.
-_WORKER_ENGINE = "python"
-
 Row = tuple[int, int, Path]
-
-
-def _init_worker(engine: str) -> None:
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = engine
-
-
-def _run_task(task: LabelTask) -> list[Row]:
-    return run_label_task(task, engine=_WORKER_ENGINE)
 
 
 class BuildLabelPool:
@@ -50,7 +37,7 @@ class BuildLabelPool:
     so worker processes never outlive the build.
     """
 
-    def __init__(self, workers: int, *, engine: str = "python") -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 2:
             raise BuildError(
                 f"a build pool needs at least 2 workers, got {workers}"
@@ -60,10 +47,7 @@ class BuildLabelPool:
         except ValueError:  # pragma: no cover - non-posix platforms
             ctx = multiprocessing.get_context()
         self.workers = workers
-        self.engine = engine
-        self._pool = ctx.Pool(
-            workers, initializer=_init_worker, initargs=(engine,)
-        )
+        self._pool = ctx.Pool(workers)
 
     def run(self, tasks: list[LabelTask]) -> list[list[Row]]:
         """Execute tasks on the pool; results in submission order."""
@@ -71,8 +55,8 @@ class BuildLabelPool:
             return []
         if len(tasks) == 1:
             # IPC for a lone task costs more than running it here.
-            return [run_label_task(tasks[0], engine=self.engine)]
-        return self._pool.map(_run_task, tasks, chunksize=1)
+            return [run_label_task(tasks[0])]
+        return self._pool.map(run_label_task, tasks, chunksize=1)
 
     def close(self) -> None:
         self._pool.close()

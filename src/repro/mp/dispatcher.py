@@ -56,7 +56,11 @@ from repro.obs.context import TraceContext, dump_process_spans, merge_dump_into
 from repro.obs.events import EventLog, resolve_event_log
 from repro.obs.tracer import Tracer, resolve_tracer
 from repro.service.batch import _normalize
-from repro.service.engine import QueryResponse, SkylineQueryEngine
+from repro.service.engine import (
+    QueryResponse,
+    SkylineQueryEngine,
+    check_time_budget,
+)
 from repro.service.metrics import MetricsRegistry
 
 QueryPair = tuple[int, int]
@@ -211,12 +215,6 @@ class MPBatchServer:
         Corridor-tier knobs (see :class:`SkylineQueryEngine`),
         forwarded to every worker engine so ``mode="corridor"`` and
         planner escalation behave identically in- and out-of-process.
-    search_engine:
-        Search-kernel tier every worker serves with over the shared
-        snapshot: ``"flat"`` (default) or ``"batch"`` (bucket-mode
-        vectorized kernel; answer-set-equal, counters differ).  Also
-        applied to the parent planning engine so in-process fallbacks
-        answer identically.
     metrics:
         The parent registry worker metrics roll up into; created on
         demand.
@@ -236,18 +234,12 @@ class MPBatchServer:
         default_time_budget: float | None = None,
         corridor_radius: int = 2,
         quality_target: float | None = None,
-        search_engine: str = "flat",
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         events: EventLog | None = None,
     ) -> None:
         if workers < 1:
             raise QueryError("workers must be at least 1")
-        if search_engine not in ("flat", "batch"):
-            raise QueryError(
-                f"unknown search engine {search_engine!r} "
-                "(mp workers serve 'flat' or 'batch')"
-            )
         if max_inflight is not None and max_inflight < 1:
             raise QueryError("max_inflight must be at least 1")
         try:
@@ -265,7 +257,6 @@ class MPBatchServer:
             default_time_budget=default_time_budget,
             corridor_radius=corridor_radius,
             quality_target=quality_target,
-            search_engine=search_engine,
         )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._engine = SkylineQueryEngine(
@@ -278,7 +269,6 @@ class MPBatchServer:
             default_time_budget=default_time_budget,
             corridor_radius=corridor_radius,
             quality_target=quality_target,
-            engine=search_engine,
         )
         self._maintainer = maintainer
         self._pending_generation = self._engine.generation
@@ -508,6 +498,7 @@ class MPBatchServer:
         :class:`MPQueryError`; otherwise failures land in
         ``result.errors`` and their positions hold ``None``.
         """
+        check_time_budget(time_budget)
         started = time.perf_counter()
         with self._dispatch_lock:
             self._maybe_swap()

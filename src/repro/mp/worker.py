@@ -70,19 +70,18 @@ class WorkerConfig:
     default_time_budget: float | None = None
     corridor_radius: int = 2
     quality_target: float | None = None
-    # Search-kernel tier over the shared snapshot: "flat" (default,
-    # bit-identical answers and counters) or "batch" (bucket-vectorized
-    # kernel of repro.accel.batch_kernel; answer-set-equal, counters
-    # differ).  Every worker of a cohort shares the tier so mp answers
-    # stay identical to a single-process engine built the same way.
-    search_engine: str = "flat"
     # When True each worker runs a local enabled tracer and ships span
     # dumps back with every reply (set per cohort at spawn time).
     trace: bool = False
 
+    def __post_init__(self) -> None:
+        from repro.service.engine import check_time_budget
+
+        check_time_budget(self.default_time_budget)
+
 
 def build_worker_engine(graph, index, landmarks, shared, generation, config):
-    """A serving stack around the shared snapshot (flat or batch tier).
+    """A serving stack around the shared snapshot.
 
     Separated from :func:`worker_main` so tests can build the exact
     engine a worker would use in-process and compare answers.
@@ -97,7 +96,6 @@ def build_worker_engine(graph, index, landmarks, shared, generation, config):
         default_time_budget=config.default_time_budget,
         corridor_radius=config.corridor_radius,
         quality_target=config.quality_target,
-        engine=config.search_engine,
     )
     # Install the shared state instead of letting the engine rebuild
     # it: the CSR arrays are views into the published segment (the

@@ -10,9 +10,13 @@ package makes that a running check rather than a hope:
 * :mod:`repro.qa.invariants` — executable invariants (path validity
   and pricing, mutual non-dominance, dominance consistency with the
   exact skyline, bit-identical variant agreement);
+* :mod:`repro.qa.reference` — the reference oracle: the plain python
+  BBS, m_BBS and one-to-all loops and the scalar build that every
+  production kernel is held to;
 * :mod:`repro.qa.differential` — the runner crossing exact BBS, the
   fresh index, binary-store round trips (eager and lazy), the cached
-  engine, and the maintained index over every workload query;
+  engine, and the maintained index over every workload query, plus the
+  reference-vs-production contract table;
 * :mod:`repro.qa.metamorphic` — oracle-free relations (source/target
   swap, cost-dimension permutation, uniform scaling);
 * :mod:`repro.qa.shrink` — delta-debugging reducer emitting

@@ -1,13 +1,14 @@
-"""The differential runner: every answer path, cross-checked five ways.
+"""The differential runner: every answer path, cross-checked.
 
 For each seeded case the runner answers every workload query through
-every serving variant the repository has grown and checks them against
-each other and against the exact BBS oracle:
+every serving variant and checks them against each other and against
+the exact BBS oracle:
 
 ===============  ====================================================
 variant          what it exercises
 ===============  ====================================================
-``exact``        BBS with exact reverse-Dijkstra bounds (the oracle)
+``exact``        reference BBS with exact reverse-Dijkstra bounds
+                 (the oracle)
 ``backbone``     :func:`repro.core.query.backbone_query` on a fresh
                  index
 ``store_eager``  the same index after a binary-store round trip
@@ -18,19 +19,11 @@ variant          what it exercises
                  through :class:`~repro.core.maintenance
                  .MaintainableIndex`, re-checked against a fresh exact
                  oracle on the updated network
-``exact_flat``   BBS through the CSR kernel (:mod:`repro.accel`),
-                 required bit-identical to the python oracle
-``backbone_flat`` :func:`backbone_query` with ``engine="flat"``,
-                 required bit-identical to the python backbone answer
-``exact_batch``  BBS through the bucket-vectorized batch kernel
-                 (:mod:`repro.accel.batch_kernel`), required
-                 answer-set-equal to the oracle — same (cost, nodes)
-                 answer set, counters free to differ
-``exact_fused``  the whole case's queries served by one
-                 :func:`~repro.accel.batch_kernel.fused_skyline_batch`
-                 traversal, each answer required answer-set-equal to
-                 the oracle (the same batch-tier contract)
 ===============  ====================================================
+
+On top of these, :data:`CONTRACTS` declares what each production path
+owes the reference oracle of :mod:`repro.qa.reference`, and the runner
+checks every row on every case.
 
 Hard invariants (any violation is a discrepancy): path validity and
 correct pricing in the graph served, mutual non-dominance, dominance
@@ -58,7 +51,7 @@ from repro.core.maintenance import MaintainableIndex
 from repro.core.query import backbone_query
 from repro.obs.tracer import Tracer, resolve_tracer
 from repro.paths.path import Path
-from repro.qa import metamorphic
+from repro.qa import metamorphic, reference
 from repro.qa.invariants import (
     answer_set_errors,
     approximation_errors,
@@ -73,9 +66,25 @@ from repro.qa.workload import (
     build_case,
     qa_params,
 )
-from repro.search.bbs import skyline_paths
+from repro.search.bbs import SearchStats, skyline_paths
+from repro.search.bounds import ExactBounds
+from repro.search.mbbs import Seed, many_to_many_skyline
 from repro.search.onetoall import one_to_all_skyline
 from repro.service.engine import SkylineQueryEngine
+
+# What each production path owes the reference oracle: "identical" is
+# the same paths in the same order with the same search counters;
+# "answer_set" is the same (cost, node-sequence) answer set
+# (repro.qa.invariants.answer_set_errors) — the fused kernel reorders
+# expansions by design, so its counters and equal-cost witnesses may
+# differ.
+CONTRACTS = {
+    "bbs": "identical",  # repro.search.bbs.skyline_paths
+    "mbbs": "identical",  # repro.search.mbbs.many_to_many_skyline
+    "onetoall": "identical",  # repro.search.onetoall.one_to_all_skyline
+    "build": "identical",  # repro.core.builder.build_backbone_index
+    "fused": "answer_set",  # repro.accel.batch_kernel.fused_skyline_batch
+}
 
 
 @dataclass(frozen=True)
@@ -91,23 +100,12 @@ class QAConfig:
     check_engine: bool = True
     check_updates: bool = True
     check_metamorphic: bool = True
-    check_flat: bool = True
-    # Batch-kernel differential: the bucket-vectorized kernel is held
-    # to answer-set equality with the exact oracle (identical (cost,
-    # node-sequence) answer sets; counters and expansion order are
-    # explicitly unchecked — see repro.accel.batch_kernel).
-    check_batch: bool = True
+    # The CONTRACTS table: reference oracle vs production.
+    check_contracts: bool = True
     # Corridor-tier differential (off by default: the dedicated
     # quality tripwire in repro.qa.quality is the deep check; this
     # variant just keeps the serving path honest inside the battery).
     check_corridor: bool = False
-    # One-to-all differential: the flat CSR one-to-all kernel must be
-    # bit-identical to the scalar search; the bucket tier must be
-    # answer-set-equal (same contract as the point-to-point kernels).
-    check_onetoall: bool = True
-    # Construction differential: a flat-pipeline build (engine="batch")
-    # must serve bit-identical answers to the scalar reference build.
-    check_build: bool = True
     metamorphic_queries: int = 2
     cache_size: int = 64
 
@@ -204,6 +202,134 @@ def _check_answer_set(
     report.variants_checked += 1
 
 
+def _counter_errors(reference_stats, production_stats) -> list[str]:
+    """Search-counter mismatches (timing excluded) between two runs."""
+    ours = reference_stats.as_span_counters()
+    ours["timed_out"] = reference_stats.timed_out
+    theirs = production_stats.as_span_counters()
+    theirs["timed_out"] = production_stats.timed_out
+    return [
+        f"counter {name}: reference {ours[name]} vs production "
+        f"{theirs[name]}"
+        for name in ours
+        if ours[name] != theirs[name]
+    ]
+
+
+def _hit_rows(result) -> list:
+    """m_BBS hits flattened in iteration order (order-sensitive)."""
+    return [
+        (node, [(cost, payload, path.nodes, path.cost)
+                for cost, (payload, path) in pareto])
+        for node, pareto in result.hits.items()
+    ]
+
+
+class _ContractChecks:
+    """One case's :data:`CONTRACTS` rows.
+
+    Holds what the rows share across queries: one CSR snapshot for the
+    production kernels, one reference build, and one fused traversal
+    over every case query.
+    """
+
+    def __init__(self, graph, params, queries, production_index) -> None:
+        from repro.accel.batch_kernel import fused_skyline_batch
+        from repro.accel.csr import CSRSnapshot
+
+        self.graph = graph
+        self.queries = queries
+        self.production_index = production_index
+        self.snapshot = CSRSnapshot.from_graph(graph)
+        self.reference_index = reference.build_backbone_index(graph, params)
+        self.fused = fused_skyline_batch(graph, self.snapshot, queries)
+
+    def build_stat_errors(self) -> list[str]:
+        """Per-level construction statistics must match exactly."""
+        ours = self.reference_index.build_stats.levels
+        theirs = self.production_index.build_stats.levels
+        if len(ours) != len(theirs):
+            return [f"level count: reference {len(ours)} vs {len(theirs)}"]
+        return [
+            f"level {a.level}: reference {a} vs production {b}"
+            for a, b in zip(ours, theirs)
+            if a != b
+        ]
+
+    def query_errors(self, position: int, oracle, backbone_answer):
+        """Yield ``(contract, detail)`` for one case query.
+
+        ``oracle`` is the reference BBS result, ``backbone_answer`` the
+        production index's answer to the same query.
+        """
+        graph, snapshot = self.graph, self.snapshot
+        source, target = self.queries[position]
+
+        bbs = skyline_paths(graph, source, target, snapshot=snapshot)
+        for detail in identical_answer_errors(
+            "reference", oracle.paths, "production", bbs.paths
+        ) + _counter_errors(oracle.stats, bbs.stats):
+            yield "bbs", detail
+
+        # m_BBS with two seeds (one carrying a non-zero cost) and the
+        # target plus its neighbors as destinations.
+        seeds = [Seed(source, (0.0,) * graph.dim, payload="source")]
+        for neighbor in graph.sorted_neighbors(source)[:1]:
+            seeds.append(
+                Seed(neighbor, graph.edge_costs(source, neighbor)[0],
+                     payload="neighbor")
+            )
+        targets = [target] + [
+            node for node in graph.sorted_neighbors(target)[:2]
+            if node != target
+        ]
+        bounds = ExactBounds(graph, targets)
+        ours = reference.many_to_many_skyline(
+            graph, seeds, targets, bounds=bounds
+        )
+        theirs = many_to_many_skyline(
+            graph, seeds, targets, bounds=bounds, snapshot=snapshot
+        )
+        if _hit_rows(ours) != _hit_rows(theirs):
+            yield "mbbs", "hits differ from the reference"
+        for detail in _counter_errors(ours.stats, theirs.stats):
+            yield "mbbs", detail
+
+        ours_stats, theirs_stats = SearchStats(), SearchStats()
+        ours = reference.one_to_all_skyline(graph, source, stats=ours_stats)
+        theirs = one_to_all_skyline(
+            graph, source, snapshot=snapshot, stats=theirs_stats
+        )
+        if list(ours) != list(theirs):
+            yield "onetoall", (
+                f"reached nodes differ: reference {len(ours)} vs "
+                f"production {len(theirs)} (or their order)"
+            )
+        else:
+            for node, paths in ours.items():
+                for detail in identical_answer_errors(
+                    "reference", paths, "production", theirs[node]
+                ):
+                    yield "onetoall", f"node {node}: {detail}"
+        for detail in _counter_errors(ours_stats, theirs_stats):
+            yield "onetoall", detail
+
+        from_reference = backbone_query(
+            self.reference_index, source, target
+        ).paths
+        for detail in identical_answer_errors(
+            "reference_build", from_reference, "production_build",
+            backbone_answer,
+        ):
+            yield "build", detail
+
+        for detail in answer_set_errors(
+            "reference", oracle.paths, "fused",
+            self.fused[position].paths, graph,
+        ):
+            yield "fused", detail
+
+
 def run_case(
     spec: CaseSpec,
     config: QAConfig | None = None,
@@ -247,36 +373,24 @@ def run_case(
             else None
         )
 
-        case_csr = None
-        fused_answers = None
-        if config.check_flat or config.check_batch or config.check_onetoall:
-            from repro.accel.csr import CSRSnapshot
+        contracts = (
+            _ContractChecks(graph, params, case.queries, index)
+            if config.check_contracts
+            else None
+        )
+        if contracts is not None:
+            for detail in contracts.build_stat_errors():
+                report.discrepancies.append(
+                    Discrepancy(
+                        spec.seed, "contract_identical", "build", None,
+                        detail,
+                    )
+                )
 
-            case_csr = CSRSnapshot.from_graph(graph, tracer=tracer)
-
-        built_flat = None
-        if config.check_build:
-            # Construction bit-identity: the flat pipeline (one-pass
-            # discovery, local scans, CSR label kernel, steal-merge)
-            # must produce an index serving the exact answers of the
-            # scalar reference build, query for query.
-            from repro.core.builder import build_backbone_index
-
-            built_flat = build_backbone_index(graph, params, engine="batch")
-        if config.check_batch and case_csr is not None:
-            # The fused serving-batch kernel answers the whole case in
-            # one shared traversal; each per-query answer is checked
-            # against the oracle below, under the batch tier's
-            # answer-set contract.
-            from repro.accel.batch_kernel import fused_skyline_batch
-
-            fused_answers = fused_skyline_batch(
-                graph, case_csr, case.queries
-            )
-
-        for index_in_case, query in enumerate(case.queries):
+        for position, query in enumerate(case.queries):
             source, target = query
-            exact = skyline_paths(graph, source, target).paths
+            oracle = reference.skyline_paths(graph, source, target)
+            exact = oracle.paths
             span.count("queries")
             report.queries_checked += 1
             _check_answer_set(
@@ -291,125 +405,17 @@ def run_case(
                 expand=index.expand_path,
             )
 
-            if built_flat is not None:
-                from_flat_build = backbone_query(
-                    built_flat, source, target
-                ).paths
-                for detail in identical_answer_errors(
-                    "backbone", fresh, "backbone_flat_build", from_flat_build
+            if contracts is not None:
+                for name, detail in contracts.query_errors(
+                    position, oracle, fresh
                 ):
                     report.discrepancies.append(
                         Discrepancy(
-                            spec.seed, "build_identity",
-                            "backbone_flat_build", query, detail,
-                        )
-                    )
-                report.variants_checked += 1
-
-            if config.check_onetoall and case_csr is not None:
-                # One-to-all kernel tiers, anchored at the query source:
-                # flat must be bit-identical to the scalar search,
-                # batch answer-set-equal — per reached node.
-                scalar_all = one_to_all_skyline(graph, source)
-                flat_all = one_to_all_skyline(
-                    graph, source, engine="flat", snapshot=case_csr
-                )
-                batch_all = one_to_all_skyline(
-                    graph, source, engine="batch", snapshot=case_csr
-                )
-                set_compare = lambda *a: answer_set_errors(*a, graph)  # noqa: E731
-                for name, check, compare, other in (
-                    ("exact_onetoall_flat", "onetoall_identity",
-                     identical_answer_errors, flat_all),
-                    ("exact_onetoall_batch", "onetoall_answer_set",
-                     set_compare, batch_all),
-                ):
-                    if set(scalar_all) != set(other):
-                        report.discrepancies.append(
-                            Discrepancy(
-                                spec.seed, check, name, query,
-                                f"reached sets differ: scalar "
-                                f"{len(scalar_all)} nodes vs "
-                                f"{len(other)}",
-                            )
-                        )
-                    else:
-                        for node in scalar_all:
-                            for detail in compare(
-                                "scalar", scalar_all[node], name, other[node]
-                            ):
-                                report.discrepancies.append(
-                                    Discrepancy(
-                                        spec.seed, check, name, query,
-                                        f"node {node}: {detail}",
-                                    )
-                                )
-                    report.variants_checked += 1
-
-            if config.check_batch and case_csr is not None:
-                # The batch kernel's weaker tier: answer-set equality
-                # with the oracle (not bit identity — expansion order
-                # and counters diverge by design).
-                exact_batch = skyline_paths(
-                    graph, source, target, engine="batch", snapshot=case_csr
-                ).paths
-                for detail in answer_set_errors(
-                    "exact", exact, "exact_batch", exact_batch, graph
-                ):
-                    report.discrepancies.append(
-                        Discrepancy(
-                            spec.seed, "batch_answer_set", "exact_batch",
+                            spec.seed, f"contract_{CONTRACTS[name]}", name,
                             query, detail,
                         )
                     )
-                report.variants_checked += 1
-
-            if fused_answers is not None:
-                for detail in answer_set_errors(
-                    "exact", exact, "exact_fused",
-                    fused_answers[index_in_case].paths, graph,
-                ):
-                    report.discrepancies.append(
-                        Discrepancy(
-                            spec.seed, "batch_answer_set", "exact_fused",
-                            query, detail,
-                        )
-                    )
-                report.variants_checked += 1
-
-            if config.check_flat and case_csr is not None:
-                # The CSR kernel must be bit-identical, not merely
-                # equivalent: same paths, same order.
-                exact_flat = skyline_paths(
-                    graph, source, target, engine="flat", snapshot=case_csr
-                ).paths
-                for detail in identical_answer_errors(
-                    "exact", exact, "exact_flat", exact_flat
-                ):
-                    report.discrepancies.append(
-                        Discrepancy(
-                            spec.seed, "flat_identity", "exact_flat", query,
-                            detail,
-                        )
-                    )
-                report.variants_checked += 1
-                backbone_flat = backbone_query(
-                    index, source, target, engine="flat"
-                ).paths
-                _check_answer_set(
-                    report, variant="backbone_flat", graph=graph, query=query,
-                    paths=backbone_flat, exact=exact,
-                    rac_bound=config.rac_bound, expand=index.expand_path,
-                )
-                for detail in identical_answer_errors(
-                    "backbone", fresh, "backbone_flat", backbone_flat
-                ):
-                    report.discrepancies.append(
-                        Discrepancy(
-                            spec.seed, "flat_identity", "backbone_flat",
-                            query, detail,
-                        )
-                    )
+                report.variants_checked += len(CONTRACTS)
 
             for name, store_index in loaded.items():
                 round_tripped = backbone_query(
@@ -482,7 +488,9 @@ def run_case(
                         updated.has_node(source) and updated.has_node(target)
                     ):
                         continue
-                    exact = skyline_paths(updated, source, target).paths
+                    exact = reference.skyline_paths(
+                        updated, source, target
+                    ).paths
                     maintained = backbone_query(
                         maintainer.index, source, target
                     ).paths

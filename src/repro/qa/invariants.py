@@ -20,7 +20,7 @@ test suite in agreement about what *correct* means:
   bit-for-bit (cached vs. uncached, store round-trip vs. fresh) really
   return the same multiset of (cost, node-sequence) pairs;
 * :func:`answer_set_errors` — two variants that must agree as *answer
-  sets* (the batch kernel's contract): same skyline costs with the
+  sets* (the fused batch kernel's contract): same skyline costs with the
   same multiplicities, and identical node sequences wherever a cost is
   unique — only which equal-cost alternate survives may differ (with
   the graph at hand, divergent representatives are accepted exactly
@@ -240,8 +240,8 @@ def answer_set_errors(
 ) -> list[str]:
     """Two variants required to return the same *answer set*.
 
-    This is the contract of the bucket-vectorized batch kernel
-    (:mod:`repro.accel.batch_kernel`) against the flat/python engines:
+    This is the contract of the fused batch kernel
+    (:mod:`repro.accel.batch_kernel`) against the reference searches:
     the answers must match as a set of (cost vector, node sequence)
     pairs, but the kernels expand labels in different orders by design,
     so among *exactly* equal-cost alternatives the surviving

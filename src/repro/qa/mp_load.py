@@ -13,7 +13,7 @@ update script against the server's maintainer.  A second, identical
 *twin* maintainer is kept one step ahead: before each op lands on the
 live network, the same op is applied to the twin and the expected
 answer of every workload query is computed there through an identical
-single-process flat engine.  Every mp response is then checked
+single-process engine.  Every mp response is then checked
 **bit-identically** against the expected answers of the generation it
 is stamped with:
 
@@ -84,9 +84,7 @@ def run_mp_case(
         twin = MaintainableIndex(twin_case.graph, params)
         # cache_size=0: expected answers must come from a fresh search
         # at each generation, never a stale cached one.
-        oracle = SkylineQueryEngine(
-            maintainer=twin, cache_size=0, engine="flat"
-        )
+        oracle = SkylineQueryEngine(maintainer=twin, cache_size=0)
 
         # Keep only queries whose endpoints survive the whole script
         # (build_case shields endpoints from delete_node, but a replay

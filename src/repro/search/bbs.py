@@ -13,13 +13,14 @@ Exactness: with admissible (never over-estimating) lower bounds every
 pruned label can only extend into dominated paths, so the surviving
 result set is exactly the skyline.  Equal-cost path multiplicity is
 bounded per node (see :mod:`repro.search.labels`).
+
+The search runs on the flat CSR kernel of :mod:`repro.accel.bbs_kernel`;
+the plain dict-based loop it is held bit-identical to lives in
+:mod:`repro.qa.reference`.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import time
 from dataclasses import dataclass, field
 
 from repro.errors import NodeNotFoundError, QueryError
@@ -27,11 +28,7 @@ from repro.graph.mcrn import MultiCostGraph
 from repro.obs.tracer import Tracer, resolve_tracer
 from repro.paths.frontier import PathSet
 from repro.paths.path import Path
-from repro.search.bounds import ExactBounds, LowerBoundProvider
-from repro.search.dijkstra import per_dimension_shortest_paths
-from repro.search.labels import Label, NodeFrontier
-
-_INF = float("inf")
+from repro.search.bounds import LowerBoundProvider
 
 
 @dataclass
@@ -79,34 +76,6 @@ class SkylineResult:
         return iter(self.paths)
 
 
-def resolve_search_engine(
-    engine: str, snapshot, graph: MultiCostGraph, *, tracer: Tracer | None = None
-):
-    """Resolve an ``engine=`` option to ``("python"|"flat"|"batch", snapshot)``.
-
-    ``"python"`` ignores any snapshot.  ``"flat"`` forces the scalar CSR
-    kernel and ``"batch"`` the bucket-vectorized one, building (and
-    tracing) a snapshot of ``graph`` when none is given.  ``"auto"``
-    uses the flat kernel exactly when a snapshot is already available —
-    it never pays a build on the query path and never changes the
-    bit-identity tier (batch must be requested explicitly; the service
-    planner does so above its measured crossover).
-    """
-    if engine == "python":
-        return "python", None
-    if engine in ("flat", "batch"):
-        if snapshot is None:
-            from repro.accel.csr import CSRSnapshot
-
-            snapshot = CSRSnapshot.from_graph(graph, tracer=tracer)
-        return engine, snapshot
-    if engine == "auto":
-        if snapshot is not None:
-            return "flat", snapshot
-        return "python", None
-    raise QueryError(f"unknown search engine {engine!r}")
-
-
 def restriction_mask(restrict_to, snapshot) -> list[bool]:
     """A dense boolean node mask over ``snapshot`` for a restriction.
 
@@ -132,7 +101,6 @@ def skyline_paths(
     time_budget: float | None = None,
     max_expansions: int | None = None,
     tracer: Tracer | None = None,
-    engine: str = "auto",
     snapshot=None,
     restrict_to=None,
     seed_paths=None,
@@ -170,18 +138,12 @@ def skyline_paths(
         Observability hook; defaults to the process-wide tracer.  When
         enabled the whole search runs inside one ``search.bbs`` span
         carrying the :class:`SearchStats` counters.
-    engine:
-        ``"python"`` runs the dict-based loop, ``"flat"`` the scalar CSR
-        kernel of :mod:`repro.accel` (building ``snapshot`` on demand),
-        ``"batch"`` the bucket-vectorized kernel, and ``"auto"``
-        (default) picks flat exactly when ``snapshot`` is provided.
-        ``python``/``flat`` results are bit-identical (counters
-        included); ``batch`` returns the same answer set but its
-        counters and expansion order differ (see
-        :mod:`repro.accel.batch_kernel`).
     snapshot:
-        Optional pre-built :class:`~repro.accel.csr.CSRSnapshot` of
-        ``graph``, typically cached by the caller.
+        Pre-built :class:`~repro.accel.csr.CSRSnapshot` of ``graph``.
+        The search runs the flat CSR kernel
+        (:func:`repro.accel.bbs_kernel.flat_skyline_paths`) and builds
+        a snapshot when none is given; callers that search one graph
+        repeatedly should build it once and pass it.
     """
     if not graph.has_node(source):
         raise NodeNotFoundError(source)
@@ -191,176 +153,40 @@ def skyline_paths(
         return SkylineResult(paths=[Path.trivial(source, graph.dim)])
 
     tracer = resolve_tracer(tracer)
-    resolved, snapshot = resolve_search_engine(
-        engine, snapshot, graph, tracer=tracer
-    )
+    from repro.accel.bbs_kernel import flat_skyline_paths
+
+    if snapshot is None:
+        from repro.accel.csr import CSRSnapshot
+
+        snapshot = CSRSnapshot.from_graph(graph, tracer=tracer)
     with tracer.span(
         "search.bbs",
         source=source,
         target=target,
-        engine=resolved,
         restricted=restrict_to is not None,
     ) as span:
-        if resolved in ("flat", "batch"):
-            if resolved == "batch":
-                from repro.accel.batch_kernel import (
-                    batch_skyline_paths as kernel,
-                )
-            else:
-                from repro.accel.bbs_kernel import (
-                    flat_skyline_paths as kernel,
-                )
-
-            node_mask = (
+        result = flat_skyline_paths(
+            graph,
+            snapshot,
+            source,
+            target,
+            bounds=bounds,
+            seed_with_shortest_paths=seed_with_shortest_paths,
+            time_budget=time_budget,
+            max_expansions=max_expansions,
+            node_mask=(
                 restriction_mask(restrict_to, snapshot)
                 if restrict_to is not None
                 else None
-            )
-            result = kernel(
-                graph,
-                snapshot,
-                source,
-                target,
-                bounds=bounds,
-                seed_with_shortest_paths=seed_with_shortest_paths,
-                time_budget=time_budget,
-                max_expansions=max_expansions,
-                node_mask=node_mask,
-                seed_paths=seed_paths,
-            )
-        else:
-            result = _skyline_paths_impl(
-                graph,
-                source,
-                target,
-                bounds=bounds,
-                seed_with_shortest_paths=seed_with_shortest_paths,
-                time_budget=time_budget,
-                max_expansions=max_expansions,
-                restrict_to=restrict_to,
-                seed_paths=seed_paths,
-            )
+            ),
+            seed_paths=seed_paths,
+        )
         if span.enabled:
             span.counters.update(result.stats.as_span_counters())
             span.set(
                 paths=len(result.paths), timed_out=result.stats.timed_out
             )
     return result
-
-
-def _skyline_paths_impl(
-    graph: MultiCostGraph,
-    source: int,
-    target: int,
-    *,
-    bounds: LowerBoundProvider | None,
-    seed_with_shortest_paths: bool,
-    time_budget: float | None,
-    max_expansions: int | None,
-    restrict_to=None,
-    seed_paths=None,
-) -> SkylineResult:
-    start_time = time.perf_counter()
-    stats = SearchStats()
-    if time_budget is not None and time_budget <= 0:
-        # Bail before paying for bound construction or seeding: an
-        # already-expired budget means an empty, timed-out result.
-        stats.timed_out = True
-        stats.elapsed_seconds = time.perf_counter() - start_time
-        return SkylineResult(stats=stats)
-    if bounds is None:
-        bounds = ExactBounds(graph, [target])
-
-    results = PathSet()
-    if seed_with_shortest_paths:
-        results.add_all(per_dimension_shortest_paths(graph, source, target))
-    if seed_paths is not None:
-        results.add_all(seed_paths)
-
-    frontiers: dict[int, NodeFrontier] = {}
-    tie_breaker = itertools.count()
-    heap: list[tuple[float, int, Label]] = []
-
-    def push(label: Label) -> None:
-        bound = bounds.bound(label.node)
-        projected = tuple(c + b for c, b in zip(label.cost, bound))
-        if _INF in projected:
-            stats.pruned_by_bound += 1
-            return
-        stats.dominance_checks += 1
-        if results.dominates_candidate(projected):
-            stats.pruned_by_result += 1
-            return
-        frontier = frontiers.get(label.node)
-        if frontier is None:
-            frontier = frontiers[label.node] = NodeFrontier()
-        if not frontier.try_add(label.cost):
-            stats.pruned_by_frontier += 1
-            return
-        stats.pushes += 1
-        heapq.heappush(heap, (sum(projected), next(tie_breaker), label))
-        if len(heap) > stats.max_heap_size:
-            stats.max_heap_size = len(heap)
-
-    push(Label(source, (0.0,) * graph.dim))
-
-    # The budget check is gated on a monotone *loop-iteration* counter,
-    # not on ``stats.expansions``: stale or pruned pops never increment
-    # expansions, so a long run of them would otherwise freeze the gate
-    # at a non-multiple of the interval and starve the wall-clock check
-    # indefinitely.  Overshoot is bounded to 512 heap pops.
-    loop_count = 0
-    while heap:
-        if loop_count & 511 == 0:
-            if time_budget is not None and (
-                time.perf_counter() - start_time > time_budget
-            ):
-                stats.timed_out = True
-                break
-        loop_count += 1
-        if max_expansions is not None and stats.expansions >= max_expansions:
-            stats.timed_out = True
-            break
-
-        _, _, label = heapq.heappop(heap)
-        frontier = frontiers[label.node]
-        if not frontier.is_current(label.cost):
-            continue  # evicted since push: stale heap entry
-        bound = bounds.bound(label.node)
-        projected = tuple(c + b for c, b in zip(label.cost, bound))
-        stats.dominance_checks += 1
-        if results.dominates_candidate(projected):
-            stats.pruned_by_result += 1
-            continue
-        stats.expansions += 1
-
-        if label.node == target:
-            results.add(label.to_path())
-            continue
-
-        # Ascending-id neighbor order keeps the push sequence — and with
-        # it equal-cost tie resolution — identical to the flat kernel's
-        # CSR slot order.  The restriction check runs before any cost
-        # arithmetic on both engines, so restricted runs stay
-        # bit-identical too; the prune count matches the flat kernel's
-        # per-slot count by charging one prune per parallel edge.
-        for neighbor in graph.sorted_neighbors(label.node):
-            if restrict_to is not None and neighbor not in restrict_to:
-                stats.pruned_by_corridor += len(
-                    graph.edge_costs(label.node, neighbor)
-                )
-                continue
-            for edge_cost in graph.edge_costs(label.node, neighbor):
-                extended = tuple(
-                    c + w for c, w in zip(label.cost, edge_cost)
-                )
-                push(Label(neighbor, extended, parent=label))
-
-    stats.elapsed_seconds = time.perf_counter() - start_time
-    stats.frontier_nodes = len(frontiers)
-    # Seeded shortest paths may have been superseded; PathSet already
-    # keeps the final set mutually non-dominated.
-    return SkylineResult(paths=results.paths(), stats=stats)
 
 
 def brute_force_skyline(

@@ -47,15 +47,6 @@ class Label:
         nodes.reverse()
         return Path(nodes, self.cost)
 
-    def ancestry(self) -> set[int]:
-        """The set of nodes on the partial path (cycle checks)."""
-        nodes = set()
-        label: Label | None = self
-        while label is not None:
-            nodes.add(label.node)
-            label = label.parent
-        return nodes
-
     def __repr__(self) -> str:
         return f"Label(node={self.node}, cost={self.cost})"
 

@@ -11,28 +11,21 @@ one BBS run per (source, target) pair.
 Each seed carries the cost of the partial path that reached it and a
 payload identifying that partial path; result labels inherit the
 payload, letting the caller stitch the full approximate path back
-together.
+together.  The search runs on the flat CSR kernel; its dict-based
+reference loop lives in :mod:`repro.qa.reference`.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import time
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from repro.errors import NodeNotFoundError
 from repro.graph.mcrn import MultiCostGraph
 from repro.obs.tracer import Tracer, resolve_tracer
 from repro.paths.dominance import CostVector
 from repro.paths.frontier import ParetoSet
-from repro.paths.path import Path
 from repro.search.bbs import SearchStats
-from repro.search.bounds import LowerBoundProvider, ZeroBounds
-from repro.search.labels import Label, NodeFrontier
-
-_INF = float("inf")
+from repro.search.bounds import LowerBoundProvider
 
 
 @dataclass(frozen=True)
@@ -66,7 +59,6 @@ def many_to_many_skyline(
     time_budget: float | None = None,
     max_expansions: int | None = None,
     tracer: Tracer | None = None,
-    engine: str = "auto",
     snapshot=None,
     restrict_to=None,
 ) -> ManyToManyResult:
@@ -77,61 +69,43 @@ def many_to_many_skyline(
     :class:`~repro.search.bounds.LandmarkLowerBounds`, or
     :class:`~repro.search.bounds.ExactBounds` built with all targets).
     ``tracer`` wraps the search in one ``search.mbbs`` span carrying
-    the :class:`~repro.search.bbs.SearchStats` counters.  ``engine``
-    and ``snapshot`` select the CSR kernel exactly as in
+    the :class:`~repro.search.bbs.SearchStats` counters.  The search
+    runs the flat CSR kernel
+    (:func:`repro.accel.bbs_kernel.flat_many_to_many`) over
+    ``snapshot``, built on demand when None, exactly as in
     :func:`repro.search.bbs.skyline_paths`; ``restrict_to`` limits
     expansion to a node set exactly as there (it must contain the
     targets a caller wants reached).
     """
-    from repro.search.bbs import resolve_search_engine, restriction_mask
+    from repro.accel.bbs_kernel import flat_many_to_many
+    from repro.search.bbs import restriction_mask
 
     seed_list = list(seeds)
     tracer = resolve_tracer(tracer)
-    resolved, snapshot = resolve_search_engine(
-        engine, snapshot, graph, tracer=tracer
-    )
+    if snapshot is None:
+        from repro.accel.csr import CSRSnapshot
+
+        snapshot = CSRSnapshot.from_graph(graph, tracer=tracer)
     with tracer.span(
         "search.mbbs",
         seeds=len(seed_list),
         targets=len(targets),
-        engine=resolved,
         restricted=restrict_to is not None,
     ) as span:
-        if resolved in ("flat", "batch"):
-            if resolved == "batch":
-                from repro.accel.batch_kernel import (
-                    batch_many_to_many as kernel,
-                )
-            else:
-                from repro.accel.bbs_kernel import (
-                    flat_many_to_many as kernel,
-                )
-
-            node_mask = (
+        result = flat_many_to_many(
+            graph,
+            snapshot,
+            seed_list,
+            targets,
+            bounds=bounds,
+            time_budget=time_budget,
+            max_expansions=max_expansions,
+            node_mask=(
                 restriction_mask(restrict_to, snapshot)
                 if restrict_to is not None
                 else None
-            )
-            result = kernel(
-                graph,
-                snapshot,
-                seed_list,
-                targets,
-                bounds=bounds,
-                time_budget=time_budget,
-                max_expansions=max_expansions,
-                node_mask=node_mask,
-            )
-        else:
-            result = _many_to_many_impl(
-                graph,
-                seed_list,
-                targets,
-                bounds=bounds,
-                time_budget=time_budget,
-                max_expansions=max_expansions,
-                restrict_to=restrict_to,
-            )
+            ),
+        )
         if span.enabled:
             span.counters.update(result.stats.as_span_counters())
             span.set(
@@ -139,114 +113,3 @@ def many_to_many_skyline(
                 timed_out=result.stats.timed_out,
             )
     return result
-
-
-def _many_to_many_impl(
-    graph: MultiCostGraph,
-    seed_list: list[Seed],
-    targets: Sequence[int],
-    *,
-    bounds: LowerBoundProvider | None,
-    time_budget: float | None,
-    max_expansions: int | None,
-    restrict_to=None,
-) -> ManyToManyResult:
-    target_set = set(targets)
-    for node in target_set:
-        if not graph.has_node(node):
-            raise NodeNotFoundError(node)
-    if bounds is None:
-        bounds = ZeroBounds(graph.dim)
-
-    start_time = time.perf_counter()
-    stats = SearchStats()
-    result = ManyToManyResult(stats=stats)
-    if time_budget is not None and time_budget <= 0:
-        stats.timed_out = True
-        stats.elapsed_seconds = time.perf_counter() - start_time
-        return result
-    frontiers: dict[int, NodeFrontier] = {}
-    tie_breaker = itertools.count()
-    heap: list[tuple[float, int, Label]] = []
-
-    def push(label: Label) -> None:
-        bound = bounds.bound(label.node)
-        projected = tuple(c + b for c, b in zip(label.cost, bound))
-        if _INF in projected:
-            stats.pruned_by_bound += 1
-            return
-        frontier = frontiers.get(label.node)
-        if frontier is None:
-            frontier = frontiers[label.node] = NodeFrontier()
-        if not frontier.try_add(label.cost):
-            stats.pruned_by_frontier += 1
-            return
-        stats.pushes += 1
-        heapq.heappush(heap, (sum(projected), next(tie_breaker), label))
-        if len(heap) > stats.max_heap_size:
-            stats.max_heap_size = len(heap)
-
-    for seed in seed_list:
-        if not graph.has_node(seed.node):
-            raise NodeNotFoundError(seed.node)
-        push(Label(seed.node, tuple(seed.cost), seed=seed))
-
-    # Monotone loop counter for the budget gate: stale pops never bump
-    # ``stats.expansions``, so gating on it can starve the wall-clock
-    # check (see repro.search.bbs).
-    loop_count = 0
-    while heap:
-        if time_budget is not None and loop_count & 511 == 0:
-            if time.perf_counter() - start_time > time_budget:
-                stats.timed_out = True
-                break
-        loop_count += 1
-        if max_expansions is not None and stats.expansions >= max_expansions:
-            stats.timed_out = True
-            break
-
-        _, _, label = heapq.heappop(heap)
-        if not frontiers[label.node].is_current(label.cost):
-            continue
-        stats.expansions += 1
-
-        if label.node in target_set:
-            seed: Seed = label.seed  # type: ignore[assignment]
-            hits = result.hits.get(label.node)
-            if hits is None:
-                hits = result.hits[label.node] = ParetoSet(keep_equal_costs=True)
-            hits.add(label.cost, (seed.payload, _label_to_local_path(label, seed)))
-            # Targets are ordinary nodes of G_L; keep expanding through
-            # them — a skyline path may pass one target to reach another.
-
-        # Ascending-id order: keeps push order identical to the flat
-        # kernel's CSR slot order (see repro.accel.bbs_kernel).  The
-        # restriction check precedes any cost arithmetic on both
-        # engines; one prune is charged per parallel edge to match the
-        # flat kernel's per-slot count.
-        for neighbor in graph.sorted_neighbors(label.node):
-            if restrict_to is not None and neighbor not in restrict_to:
-                stats.pruned_by_corridor += len(
-                    graph.edge_costs(label.node, neighbor)
-                )
-                continue
-            for edge_cost in graph.edge_costs(label.node, neighbor):
-                extended = tuple(c + w for c, w in zip(label.cost, edge_cost))
-                push(Label(neighbor, extended, parent=label))
-
-    stats.elapsed_seconds = time.perf_counter() - start_time
-    stats.frontier_nodes = len(frontiers)
-    return result
-
-
-def _label_to_local_path(label: Label, seed: Seed) -> Path:
-    """The path through the searched graph only (seed cost stripped)."""
-    nodes = []
-    walker: Label | None = label
-    while walker is not None:
-        nodes.append(walker.node)
-        walker = walker.parent
-    nodes.reverse()
-    local_cost = tuple(c - s for c, s in zip(label.cost, seed.cost))
-    # Guard against float drift producing tiny negative components.
-    return Path(nodes, tuple(max(c, 0.0) for c in local_cost))

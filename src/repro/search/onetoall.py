@@ -11,25 +11,18 @@ on it:
 * the paper's one-to-all SPQ extension (Section 5, "Support to other
   types of queries").
 
-Like the point-to-point searches, the hot loop has engine tiers:
-``engine="flat"`` runs the bit-identical scalar CSR loop and
-``engine="batch"`` the bucket-vectorized numpy tier of
-:mod:`repro.accel.onetoall_kernel` (answer-set-equal, counters and
-equal-cost witnesses may differ).  ``"auto"`` upgrades to flat exactly
-when a snapshot is already in hand.
+Like the point-to-point searches, the hot loop is the flat CSR kernel
+of :mod:`repro.accel.onetoall_kernel`; the dict-based loop it is held
+bit-identical to lives in :mod:`repro.qa.reference`.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-import time
 from collections.abc import Iterable
 
 from repro.errors import NodeNotFoundError
 from repro.graph.mcrn import MultiCostGraph
 from repro.paths.path import Path
-from repro.search.labels import Label, NodeFrontier
 
 
 def one_to_all_skyline(
@@ -40,7 +33,6 @@ def one_to_all_skyline(
     max_frontier: int | None = None,
     time_budget: float | None = None,
     stats=None,
-    engine: str = "python",
     snapshot=None,
 ) -> dict[int, list[Path]]:
     """Skyline paths from ``source`` to every node (or just ``targets``).
@@ -62,105 +54,27 @@ def one_to_all_skyline(
         skyline found so far and flags ``stats.timed_out``.
     stats:
         Optional :class:`repro.search.bbs.SearchStats` filled in place.
-    engine / snapshot:
-        Kernel tier selection via
-        :func:`repro.search.bbs.resolve_search_engine` — ``"python"``
-        (default), ``"flat"`` (scalar CSR, bit-identical), ``"batch"``
-        (bucket-vectorized, answer-set-equal), or ``"auto"``.
+    snapshot:
+        Pre-built :class:`~repro.accel.csr.CSRSnapshot` of ``graph``;
+        built on demand when None.  Callers sweeping one graph from
+        many sources should build it once and pass it.
 
     Returns a map ``node -> skyline paths``; the source maps to its
     trivial path.  Unreachable nodes are absent.
     """
     if not graph.has_node(source):
         raise NodeNotFoundError(source)
-    if engine != "python" or snapshot is not None:
-        from repro.search.bbs import resolve_search_engine
+    from repro.accel.onetoall_kernel import flat_one_to_all
 
-        kind, snapshot = resolve_search_engine(engine, snapshot, graph)
-        if kind != "python":
-            from repro.accel.batch_kernel import DEFAULT_BUCKET_SIZE
-            from repro.accel.onetoall_kernel import flat_one_to_all
+    if snapshot is None:
+        from repro.accel.csr import CSRSnapshot
 
-            return flat_one_to_all(
-                snapshot,
-                source,
-                targets=targets,
-                max_frontier=max_frontier,
-                time_budget=time_budget,
-                stats=stats,
-                bucket_size=None if kind == "flat" else DEFAULT_BUCKET_SIZE,
-            )
-
-    from repro.search.bbs import SearchStats
-
-    if stats is None:
-        stats = SearchStats()
-    start_time = time.perf_counter()
-    wanted = set(targets) if targets is not None else None
-    if time_budget is not None and time_budget <= 0:
-        stats.timed_out = True
-        stats.elapsed_seconds = time.perf_counter() - start_time
-        return {}
-
-    frontiers: dict[int, NodeFrontier] = {}
-    best_labels: dict[int, list[Label]] = {}
-    tie_breaker = itertools.count()
-    heap: list[tuple[float, int, Label]] = []
-
-    def push(label: Label) -> None:
-        frontier = frontiers.get(label.node)
-        if frontier is None:
-            frontier = frontiers[label.node] = NodeFrontier()
-        if max_frontier is not None and len(frontier) >= max_frontier:
-            return
-        if not frontier.try_add(label.cost):
-            stats.pruned_by_frontier += 1
-            return
-        stats.pushes += 1
-        heapq.heappush(heap, (sum(label.cost), next(tie_breaker), label))
-
-    push(Label(source, (0.0,) * graph.dim))
-
-    loop_count = 0
-    while heap:
-        if (
-            time_budget is not None
-            and loop_count & 511 == 0
-            and time.perf_counter() - start_time > time_budget
-        ):
-            stats.timed_out = True
-            break
-        loop_count += 1
-        _, _, label = heapq.heappop(heap)
-        frontier = frontiers[label.node]
-        if not frontier.is_current(label.cost):
-            continue
-        stats.expansions += 1
-        kept = best_labels.setdefault(label.node, [])
-        kept[:] = [old for old in kept if frontier.is_current(old.cost)]
-        kept.append(label)
-        cost = label.cost
-        # Sorted neighbor order keeps expansion — and therefore
-        # tie-breaking among equal-cost labels — identical to the CSR
-        # slot order the flat kernel walks.
-        for neighbor in graph.sorted_neighbors(label.node):
-            for edge_cost in graph.edge_costs(label.node, neighbor):
-                extended = tuple(c + w for c, w in zip(cost, edge_cost))
-                push(Label(neighbor, extended, parent=label))
-        if len(heap) > stats.max_heap_size:
-            stats.max_heap_size = len(heap)
-
-    stats.frontier_nodes = len(frontiers)
-    stats.elapsed_seconds = time.perf_counter() - start_time
-
-    result: dict[int, list[Path]] = {}
-    for node, labels in best_labels.items():
-        if wanted is not None and node not in wanted:
-            continue
-        frontier = frontiers[node]
-        paths = [
-            label.to_path() for label in labels if frontier.is_current(label.cost)
-        ]
-        if paths:
-            result[node] = paths
-    return result
+        snapshot = CSRSnapshot.from_graph(graph)
+    return flat_one_to_all(
+        snapshot,
+        source,
+        targets=targets,
+        max_frontier=max_frontier,
+        time_budget=time_budget,
+        stats=stats,
+    )

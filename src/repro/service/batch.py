@@ -14,21 +14,20 @@ before any search runs:
 3. **Caching** — each unique query still goes through the engine's
    result cache, so repeats across batches are free too.
 
-On the batch kernel tier (``engine="batch"`` or ``"auto"`` above the
-measured node crossover) exact-plan queries additionally **fuse**: the
-whole set runs as one
+When :meth:`~repro.service.engine.SkylineQueryEngine.batch_tier` says
+so (two or more exact plans on a graph past the measured fuse
+crossover), exact-plan queries additionally **fuse**: the whole set
+runs as one
 :meth:`~repro.service.engine.SkylineQueryEngine.query_batch_fused`
-call whose bucket traversal is shared across every query — the
-serving-batch speedup measured at 3.5x+ over per-query python serving
-(``BENCH_batch.json``).
+call whose bucket traversal is shared across every query.
 
 Remaining independent work units fan out over a ``ThreadPoolExecutor``.
-Results always come back positionally aligned with the input.  Off the
-batch tier they are identical to serial execution of the same list
-(grouping reuses only target-independent state); fused exact answers
-are answer-set-equal to serial serving but may pick different
-equal-cost path alternates and report different search counters — the
-batch kernel's documented contract (``docs/acceleration.md``).
+Results always come back positionally aligned with the input.  Unfused
+answers are identical to serial execution of the same list (grouping
+reuses only target-independent state); fused exact answers are
+answer-set-equal to serial serving but may pick different equal-cost
+path alternates and report different search counters — the fused
+kernel's documented contract (``docs/acceleration.md``).
 """
 
 from __future__ import annotations
@@ -40,7 +39,11 @@ from dataclasses import dataclass, field
 
 from repro.errors import QueryError
 from repro.obs.tracer import Tracer, resolve_tracer
-from repro.service.engine import QueryResponse, SkylineQueryEngine
+from repro.service.engine import (
+    QueryResponse,
+    SkylineQueryEngine,
+    check_time_budget,
+)
 
 QueryPair = tuple[int, int]
 
@@ -118,6 +121,7 @@ def execute_batch(
     """
     if max_workers < 1:
         raise QueryError("max_workers must be at least 1")
+    check_time_budget(time_budget)
     tracer = resolve_tracer(tracer)
     started = time.perf_counter()
     pairs = [_normalize(query) for query in queries]
@@ -130,35 +134,29 @@ def execute_batch(
 
     # Partition unique queries into shared-source groups, fused exact
     # batches, and singles.  Approximate plans share a grow-S per
-    # source; on the batch kernel tier, exact plans fuse into one
-    # bucket traversal (:meth:`SkylineQueryEngine.query_batch_fused`);
-    # everything else runs as independent units.
-    fuse_exact = engine.batch_tier()
+    # source; exact plans fuse into one bucket traversal
+    # (:meth:`SkylineQueryEngine.query_batch_fused`) when the engine's
+    # batch_tier says so; everything else runs as independent units.
     grouped: dict[int, list[int]] = {}
     singles: list[QueryPair] = []
     fused: list[QueryPair] = []
-    if group_by_source or fuse_exact:
-        by_source: dict[int, list[int]] = {}
-        for source, target in unique:
-            plan = engine.plan(source, target, mode, time_budget=time_budget)
-            if plan == "approx" and group_by_source:
-                by_source.setdefault(source, []).append(target)
-            elif plan == "exact" and fuse_exact:
-                fused.append((source, target))
-            else:
-                singles.append((source, target))
-        for source, targets in by_source.items():
-            if len(targets) > 1:
-                grouped[source] = targets
-            else:
-                singles.append((source, targets[0]))
-        if len(fused) == 1:
-            # A lone exact query gains nothing from the fused entry
-            # point; serve it like any other single.
-            singles.extend(fused)
-            fused = []
-    else:
-        singles = list(unique)
+    by_source: dict[int, list[int]] = {}
+    for source, target in unique:
+        plan = engine.plan(source, target, mode, time_budget=time_budget)
+        if plan == "approx" and group_by_source:
+            by_source.setdefault(source, []).append(target)
+        elif plan == "exact":
+            fused.append((source, target))
+        else:
+            singles.append((source, target))
+    for source, targets in by_source.items():
+        if len(targets) > 1:
+            grouped[source] = targets
+        else:
+            singles.append((source, targets[0]))
+    if not engine.batch_tier(len(fused)):
+        singles.extend(fused)
+        fused = []
 
     answers: dict[QueryPair, QueryResponse] = {}
 

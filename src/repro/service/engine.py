@@ -93,6 +93,26 @@ def engine_cache_key(
     """The single place engine cache keys are constructed."""
     return EngineCacheKey(source, target, mode, generation)
 
+
+def check_time_budget(budget: float | None) -> float | None:
+    """Validate a wall-clock budget in seconds; returns it unchanged.
+
+    The one budget check of every serving entry point (engine, batch
+    executor, CLI, multi-process workers).  None means unbounded and 0
+    means "already expired" (an immediately truncated answer); NaN —
+    which every deadline comparison would treat as "never expires" —
+    and negative values raise :class:`~repro.errors.QueryError`.
+    """
+    if budget is None:
+        return None
+    if budget != budget or budget < 0:
+        raise QueryError(
+            f"time budget must be a non-negative number of seconds, "
+            f"got {budget!r}"
+        )
+    return budget
+
+
 # Below this node count exact BBS with good bounds answers interactively,
 # so "auto" does not pay the approximation error.
 DEFAULT_EXACT_NODE_THRESHOLD = 400
@@ -107,19 +127,16 @@ PLANNER_MIN_SAMPLES = 3
 # caller opts out of result caching.
 CORRIDOR_CACHE_SIZE = 128
 
-# Above this node count "auto" serves exact/corridor queries with the
-# bucket-vectorized batch kernel instead of the scalar flat one, and
-# batch executors fuse exact singles into one shared traversal
-# (:meth:`SkylineQueryEngine.query_batch_fused`).  Measured on the
-# fig10 workload family (benchmarks/bench_fig10_query_time.py,
-# BENCH_batch.json): at ~400 nodes all tiers are within noise; at
-# ~1200 nodes flat and per-query batch both sit near 2.2x over the
-# python engine, while the fused serving-batch kernel — one bucket
-# traversal shared across the whole batch — reaches 3.5x+.  Batch-tier
-# answers are answer-set-equal to flat but not counter-identical, so
-# "auto" only crosses over where the speedup is unambiguous; pass
-# engine="flat"/"batch" to pin a tier.
-DEFAULT_BATCH_NODE_CROSSOVER = 600
+# From this node count on, a batch of two or more exact queries runs as
+# one fused bucket traversal (:meth:`SkylineQueryEngine.query_batch_fused`)
+# instead of one flat-kernel search per query.  BENCH_batch.json
+# "fuse_crossover" (benchmarks/bench_fig10_query_time.py -k
+# fuse_crossover: 64 exact pairs in 8-pair execute_batch calls,
+# landmark bounds, 4 rounds, on a 2-core Xeon VM) has fused vs
+# per-query flat at 0.38 vs 0.25 s on 150 nodes, 0.65 vs 0.59 s on
+# 400, and 1.22 vs 1.33 s on 1,200 (fused ahead in 3 of 4 rounds).  Fused answers are
+# answer-set-equal to per-query serving, not counter-identical.
+FUSE_NODE_CROSSOVER = 600
 
 # Lower-bound providers an engine can pin for exact/corridor queries.
 # "auto" = warm landmarks when available, exact reverse Dijkstra
@@ -188,22 +205,6 @@ class SkylineQueryEngine:
         not pass its own; None means unbounded.
     exact_node_threshold:
         ``auto`` plans exact BBS on graphs at or below this node count.
-    engine:
-        Search-kernel selection: ``"auto"`` (default), ``"flat"`` and
-        ``"batch"`` serve from CSR snapshots — built at most once per
-        generation for the original graph and once per index for G_L,
-        amortized across every query — while ``"python"`` keeps the
-        dict-based loops.  ``"flat"`` answers are bit-identical to
-        python, counters included; ``"batch"`` runs the
-        bucket-vectorized kernel of :mod:`repro.accel.batch_kernel`,
-        whose answers equal the other tiers as path sets while its
-        counters differ.  ``"auto"`` picks flat, escalating to batch on
-        graphs above ``batch_node_crossover`` nodes where bucket
-        amortization measurably wins.
-    batch_node_crossover:
-        Node count at which ``"auto"`` switches from the flat to the
-        batch kernel (default ``DEFAULT_BATCH_NODE_CROSSOVER``, the
-        measured crossover on the fig10 workload family).
     corridor_radius:
         k-hop expansion around the backbone answer when serving
         ``mode="corridor"`` (see :mod:`repro.approx.corridor`).
@@ -239,22 +240,16 @@ class SkylineQueryEngine:
         tracer: Tracer | None = None,
         events: EventLog | None = None,
         snapshotter=None,
-        engine: str = "auto",
-        batch_node_crossover: int = DEFAULT_BATCH_NODE_CROSSOVER,
         corridor_radius: int = 2,
         quality_target: float | None = None,
         bound_provider: str = "auto",
     ) -> None:
-        if engine not in ("auto", "flat", "python", "batch"):
-            raise QueryError(
-                f"unknown engine {engine!r} "
-                "(use 'auto', 'flat', 'batch' or 'python')"
-            )
         if bound_provider not in BOUND_PROVIDERS:
             raise QueryError(
                 f"unknown bound provider {bound_provider!r} "
                 f"(use one of {', '.join(BOUND_PROVIDERS)})"
             )
+        check_time_budget(default_time_budget)
         if corridor_radius < 0:
             raise QueryError("corridor_radius cannot be negative")
         if quality_target is not None and not 0.0 <= quality_target <= 1.0:
@@ -279,9 +274,7 @@ class SkylineQueryEngine:
         self._live = None
         self.default_time_budget = default_time_budget
         self.exact_node_threshold = exact_node_threshold
-        self.engine = engine
         self.bound_provider = bound_provider
-        self.batch_node_crossover = batch_node_crossover
         self.corridor_radius = corridor_radius
         self.quality_target = quality_target
         self._corridors = ResultCache(CORRIDOR_CACHE_SIZE)
@@ -353,20 +346,15 @@ class SkylineQueryEngine:
                 self.metrics.observe("engine.index_build_seconds", elapsed)
             return self._index
 
-    def _original_snapshot(self, *, force: bool = False):
+    def _original_snapshot(self):
         """The CSR snapshot of the served graph, built at most once per
         generation.
 
-        Returns None under ``engine="python"`` unless ``force`` is set
-        (the ``pareto_prep`` bound provider needs the snapshot even
-        when searches stay on the python engine).  Otherwise the
-        snapshot is built lazily under the build lock and reused by
-        every exact query until a generation bump retires it — so the
-        one ``accel.csr.build`` span per generation is the amortized
-        cost of flat serving.
+        Built lazily under the build lock and reused by every exact
+        query until a generation bump retires it — so the one
+        ``accel.csr.build`` span per generation is the amortized cost
+        of flat serving.
         """
-        if self.engine == "python" and not force:
-            return None
         snapshot = self._csr_original
         if snapshot is None:
             with self._build_lock:
@@ -380,25 +368,6 @@ class SkylineQueryEngine:
                 snapshot = self._csr_original
         return snapshot
 
-    def _kernel_for(self, snapshot) -> str:
-        """The search-kernel string for one query over ``snapshot``.
-
-        ``"python"`` without a snapshot; the pinned tier under
-        ``engine="flat"``/``"batch"``; under ``"auto"``, flat below the
-        measured ``batch_node_crossover`` and batch at or above it (the
-        planner-level escalation the batch kernel is served through).
-        """
-        if snapshot is None:
-            return "python"
-        if self.engine == "batch":
-            return "batch"
-        if (
-            self.engine == "auto"
-            and snapshot.num_nodes >= self.batch_node_crossover
-        ):
-            return "batch"
-        return "flat"
-
     def _bounds_for(self, target: int):
         """The lower-bound provider for one exact/corridor query.
 
@@ -408,42 +377,37 @@ class SkylineQueryEngine:
         unwarmed landmark index, so the exact fallback stays);
         ``"exact"`` always runs the per-dimension reverse Dijkstras;
         ``"pareto_prep"`` folds them into one backward pass over the
-        CSR snapshot — forced into existence even under
-        ``engine="python"``, then cached for every later query.
+        CSR snapshot.
         """
         choice = self.bound_provider
         if choice == "pareto_prep":
             from repro.accel.bounds import ParetoPrepBounds
 
-            return ParetoPrepBounds(
-                self._original_snapshot(force=True), [target]
-            )
+            return ParetoPrepBounds(self._original_snapshot(), [target])
         if choice != "exact":
             landmarks = self._original_landmarks
             if landmarks is not None:
                 return LandmarkLowerBounds(landmarks, [target])
         return ExactBounds(self._graph, [target])
 
-    def batch_tier(self) -> bool:
-        """True when exact queries resolve to the bucket-mode kernel.
+    def batch_tier(self, exact_queries: int) -> bool:
+        """Whether a batch with this many exact queries should fuse.
 
-        The snapshot-free mirror of :meth:`_kernel_for`, so executors
-        can decide whether to fuse a batch *before* paying the lazy CSR
-        build (node count is read off the graph, which the snapshot
-        copies verbatim).
+        True for two or more queries on a graph of at least
+        ``FUSE_NODE_CROSSOVER`` nodes, where one shared bucket traversal
+        measurably beats per-query flat searches; a lone query gains
+        nothing from fusing.
         """
-        if self.engine == "batch":
-            return True
         return (
-            self.engine == "auto"
-            and self._graph.num_nodes >= self.batch_node_crossover
+            exact_queries > 1
+            and self._graph.num_nodes >= FUSE_NODE_CROSSOVER
         )
 
     def warm(self) -> dict:
         """Prime everything a cold start would otherwise pay per query.
 
         Builds the backbone index if absent, the CSR snapshot of the
-        original graph (unless ``engine="python"``), and the shared
+        original graph, and the shared
         landmark index over the original graph used to bound exact
         queries.  Returns the wall-clock seconds spent on each step.
         """
@@ -618,7 +582,9 @@ class SkylineQueryEngine:
             if not self._graph.has_node(target):
                 raise NodeNotFoundError(target)
         budget = (
-            time_budget if time_budget is not None else self.default_time_budget
+            check_time_budget(time_budget)
+            if time_budget is not None
+            else self.default_time_budget
         )
 
         tracer = resolve_tracer(self.tracer)
@@ -653,21 +619,9 @@ class SkylineQueryEngine:
                 index = self.ensure_index()
                 generation = self._generation
                 started = time.perf_counter()
-                # Service "auto" means flat on G_L: the index-cached
-                # snapshot amortizes its build across every query, and
-                # the abstracted graph sits below the batch crossover.
-                # A pinned engine="batch" shares one bucket-mode m_BBS
-                # traversal across the whole target group instead.
-                if self.engine == "python":
-                    group_engine = "python"
-                elif self.engine == "batch":
-                    group_engine = "batch"
-                else:
-                    group_engine = "flat"
                 results = backbone_query_shared_source(
                     index, source, approx_targets, time_budget=budget,
                     tracer=tracer,
-                    engine=group_engine,
                 )
                 for target in approx_targets:
                     answers[target] = self._record(
@@ -698,25 +652,23 @@ class SkylineQueryEngine:
     ) -> list[QueryResponse]:
         """Serve many exact queries through one fused bucket traversal.
 
-        The batch-tier counterpart of calling :meth:`query` with
+        The fused counterpart of calling :meth:`query` with
         ``mode="exact"`` per pair: cache hits are served individually,
         and the remaining misses run as a single
         :func:`~repro.accel.batch_kernel.fused_skyline_batch` call that
         shares bucket pops, bound projection, and the candidate sweep
-        across every query in the batch — where the measured 3.5x+ over
-        the python engine comes from (per-query serving, flat or batch,
-        sits near 2.2x on the same workload).
+        across every query in the batch.
 
         Answers are answer-set-equal to per-query serving (equal-cost
-        alternates and counters may differ — the batch kernel's
-        documented tier).  ``elapsed_seconds`` on each miss is the
+        alternates and counters may differ — the fused kernel's
+        documented contract).  ``elapsed_seconds`` on each miss is the
         fused wall clock split evenly across the misses, since the
         shared traversal has no per-query attribution; for the same
         reason ``time_budget`` caps the whole traversal, not each
-        query (expiry truncates every still-running query at once).  When the engine
-        does not resolve to the batch kernel (:meth:`batch_tier` false,
-        e.g. ``engine="python"``), every miss falls back to the serial
-        exact path, so callers may route unconditionally.
+        query (expiry truncates every still-running query at once).
+        When :meth:`batch_tier` says the misses should not fuse (small
+        graph, single miss), each runs on the serial exact path, so
+        callers may route unconditionally.
 
         Identical pairs in one call are computed once and fanned back
         out; positions always align with ``pairs``.
@@ -727,7 +679,9 @@ class SkylineQueryEngine:
             if not self._graph.has_node(target):
                 raise NodeNotFoundError(target)
         budget = (
-            time_budget if time_budget is not None else self.default_time_budget
+            check_time_budget(time_budget)
+            if time_budget is not None
+            else self.default_time_budget
         )
         responses: dict[int, QueryResponse] = {}
         miss_positions: dict[tuple[int, int], list[int]] = {}
@@ -744,8 +698,7 @@ class SkylineQueryEngine:
                     position
                 )
         if miss_positions:
-            snapshot = self._original_snapshot()
-            if snapshot is None or self._kernel_for(snapshot) != "batch":
+            if not self.batch_tier(len(miss_positions)):
                 for (source, target), spots in miss_positions.items():
                     response = self._serve_exact(
                         source, target, budget, use_cache, tracer
@@ -756,6 +709,7 @@ class SkylineQueryEngine:
                 from repro.accel.batch_kernel import fused_skyline_batch
 
                 run_pairs = list(miss_positions)
+                snapshot = self._original_snapshot()
                 generation = self._generation
                 landmarks = self._original_landmarks
                 bounds = None
@@ -820,13 +774,11 @@ class SkylineQueryEngine:
             return cached
         generation = self._generation
         started = time.perf_counter()
-        bounds = self._bounds_for(target)
-        snapshot = self._original_snapshot()
         outcome = skyline_paths(
-            self._graph, source, target, bounds=bounds, time_budget=budget,
+            self._graph, source, target,
+            bounds=self._bounds_for(target), time_budget=budget,
             tracer=tracer,
-            engine=self._kernel_for(snapshot),
-            snapshot=snapshot,
+            snapshot=self._original_snapshot(),
         )
         response = QueryResponse(
             source=source,
@@ -868,17 +820,14 @@ class SkylineQueryEngine:
         remaining = (
             deadline - time.perf_counter() if deadline is not None else None
         )
-        bounds = self._bounds_for(target)
-        snapshot = self._original_snapshot()
         outcome = skyline_paths(
             self._graph,
             source,
             target,
-            bounds=bounds,
+            bounds=self._bounds_for(target),
             time_budget=remaining,
             tracer=tracer,
-            engine=self._kernel_for(snapshot),
-            snapshot=snapshot,
+            snapshot=self._original_snapshot(),
             restrict_to=corridor,
             # The corridor's unpacked backbone paths replace the
             # per-dimension shortest-path seeding: they stay inside the
@@ -954,7 +903,6 @@ class SkylineQueryEngine:
             generation=self._generation,
             time_budget=budget,
             tracer=tracer,
-            engine="python" if self.engine == "python" else "flat",
         )
         self.metrics.increment("engine.corridor_builds")
         self.metrics.observe(
@@ -1128,7 +1076,6 @@ class SkylineQueryEngine:
         doc["generation"] = self._generation
         doc["index_ready"] = self._index is not None
         doc["landmarks_ready"] = self._original_landmarks is not None
-        doc["engine"] = self.engine
         doc["csr_ready"] = self._csr_original is not None
         doc["graph_nodes"] = self._graph.num_nodes
         return doc
@@ -1145,7 +1092,6 @@ class SkylineQueryEngine:
             "index_ready": self._index is not None,
             "landmarks_ready": self._original_landmarks is not None,
             "csr_ready": self._csr_original is not None,
-            "engine": self.engine,
             "graph_nodes": self._graph.num_nodes,
             "queries_total": self.metrics.counter("engine.queries").value,
             "queries_by_mode": {

@@ -37,8 +37,8 @@ SECTION_PARAMS = "params"
 SECTION_TOP_GRAPH = "topgraph"
 SECTION_LANDMARKS = "landmarks"
 SECTION_PROVENANCE = "provenance"
-# CSR snapshot of G_L (repro.accel); absent in files written before the
-# flat engine existed — readers treat it as optional.
+# CSR snapshot of G_L (repro.accel); absent in files written before
+# snapshots were stored — readers treat it as optional.
 SECTION_CSR = "csr"
 # The same snapshot as a raw array pack (repro.accel.blob), written
 # uncompressed so multi-process readers can mmap the section and attach

@@ -346,7 +346,7 @@ class IndexStore:
     def load_csr(self):
         """Decode the persisted CSR snapshot of G_L, or None if absent.
 
-        Files written before the flat engine existed simply lack the
+        Files written before CSR snapshots existed simply lack the
         section; the index then rebuilds the snapshot on first use.
         """
         if SECTION_CSR not in self.sections:

@@ -1,10 +1,10 @@
 """repro.accel: CSR snapshots, bound matrices, and flat-kernel parity.
 
-The flat engine's contract is *bit identity* with the python engine —
-same paths, same order, same search counters.  The property tests here
-drive both engines over randomized :mod:`repro.qa.workload` networks
-and over hand-rolled multigraphs with parallel edges, sparse node ids,
-and both directedness modes.
+The flat kernel's contract is *bit identity* with the reference oracle
+of :mod:`repro.qa.reference` — same paths, same order, same search
+counters.  The property tests here drive both over randomized
+:mod:`repro.qa.workload` networks and over hand-rolled multigraphs with
+parallel edges, sparse node ids, and both directedness modes.
 """
 
 from __future__ import annotations
@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 from repro.accel.bounds import exact_bound_matrix, materialize_bound_matrix
 from repro.accel.csr import CSRSnapshot
 from repro.core import build_backbone_index
-from repro.errors import NodeNotFoundError, QueryError
+from repro.errors import NodeNotFoundError
 from repro.graph.generators import road_network
 from repro.graph.mcrn import MultiCostGraph
-from repro.obs import Tracer
+from repro.obs import Tracer, use_tracer
+from repro.qa import reference
 from repro.qa.workload import CaseSpec, build_case, qa_params
-from repro.search.bbs import resolve_search_engine, skyline_paths
+from repro.search.bbs import skyline_paths
 from repro.search.bounds import ExactBounds, ZeroBounds
 from repro.search.mbbs import Seed, many_to_many_skyline
 from repro.service import SkylineQueryEngine
@@ -179,39 +180,28 @@ class TestBoundMatrices:
 
 
 # ----------------------------------------------------------------------
-# engine resolution
+# snapshot resolution
 # ----------------------------------------------------------------------
 
 
 class TestEngineResolution:
-    def test_auto_without_snapshot_stays_python(self):
-        case, snapshot = workload_case(0)
-        assert resolve_search_engine("auto", None, case.graph) == (
-            "python",
-            None,
-        )
-        assert resolve_search_engine("auto", snapshot, case.graph) == (
-            "flat",
-            snapshot,
-        )
-
     def test_flat_builds_on_demand_python_ignores(self):
+        """Without a snapshot the production search builds (and traces)
+        one; given one it builds none; the reference loop never does."""
         case, snapshot = workload_case(0)
-        resolved, built = resolve_search_engine("flat", None, case.graph)
-        assert resolved == "flat" and built.same_topology(snapshot)
-        assert resolve_search_engine("python", snapshot, case.graph) == (
-            "python",
-            None,
-        )
-
-    def test_unknown_engine_raises(self):
-        case, _ = workload_case(0)
-        with pytest.raises(QueryError):
-            resolve_search_engine("numpy", None, case.graph)
+        source, target = case.queries[0]
+        tracer = Tracer()
+        with use_tracer(tracer):
+            reference.skyline_paths(case.graph, source, target)
+            assert count_spans(tracer, "accel.csr.build") == 0
+            skyline_paths(case.graph, source, target, snapshot=snapshot)
+            assert count_spans(tracer, "accel.csr.build") == 0
+            skyline_paths(case.graph, source, target)
+        assert count_spans(tracer, "accel.csr.build") == 1
 
 
 # ----------------------------------------------------------------------
-# flat vs python bit identity
+# flat vs reference bit identity
 # ----------------------------------------------------------------------
 
 
@@ -222,11 +212,9 @@ class TestFlatParity:
         """Paths, their order, and every search counter must match."""
         case, snapshot = workload_case(seed)
         for source, target in case.queries:
-            python = skyline_paths(
-                case.graph, source, target, engine="python"
-            )
+            python = reference.skyline_paths(case.graph, source, target)
             flat = skyline_paths(
-                case.graph, source, target, engine="flat", snapshot=snapshot
+                case.graph, source, target, snapshot=snapshot
             )
             assert answer_set(python) == answer_set(flat)
             assert (
@@ -246,16 +234,11 @@ class TestFlatParity:
         ]
         targets = nodes[-3:]
         for bounds in (None, ExactBounds(case.graph, targets)):
-            python = many_to_many_skyline(
-                case.graph, seeds, targets, bounds=bounds, engine="python"
+            python = reference.many_to_many_skyline(
+                case.graph, seeds, targets, bounds=bounds
             )
             flat = many_to_many_skyline(
-                case.graph,
-                seeds,
-                targets,
-                bounds=bounds,
-                engine="flat",
-                snapshot=snapshot,
+                case.graph, seeds, targets, bounds=bounds, snapshot=snapshot
             )
             assert self._hits(python) == self._hits(flat)
             assert (
@@ -310,15 +293,6 @@ class TestSnapshotLifecycle:
         engine.query(nodes[0], nodes[-1], use_cache=False)
         assert count_spans(tracer, "accel.csr.build") == 2
 
-    def test_python_engine_never_builds_a_snapshot(self):
-        graph = road_network(60, dim=2, seed=5)
-        nodes = sorted(graph.nodes())
-        tracer = Tracer()
-        engine = SkylineQueryEngine(graph, tracer=tracer, engine="python")
-        engine.query(nodes[0], nodes[-1], use_cache=False)
-        assert count_spans(tracer, "accel.csr.build") == 0
-        assert engine.metrics_snapshot()["csr_ready"] is False
-
     def test_store_round_trip_carries_the_gl_snapshot(self, tmp_path):
         case, _ = workload_case(4)
         index = build_backbone_index(case.graph, qa_params(case.spec))
@@ -328,6 +302,7 @@ class TestSnapshotLifecycle:
         # params/topgraph/landmarks/provenance/csr/csrraw + one per level
         assert info["sections"] == 6 + index.height
         loaded = load_index(path, case.graph)
-        restored = loaded.csr_top(build=False)
-        assert restored is not None
+        tracer = Tracer()
+        restored = loaded.csr_top(tracer=tracer)
+        assert count_spans(tracer, "accel.csr.build") == 0
         assert restored.same_topology(built)

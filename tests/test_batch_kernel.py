@@ -1,28 +1,23 @@
-"""repro.accel.batch_kernel: answer-set equality with flat/python BBS.
+"""The per-query kernels' contract with the reference, and the fused
+batch kernel's.
 
-The batch kernel sits in a weaker correctness tier than the flat
-kernel: its *answers* must equal the flat (and therefore python)
-answers as a set of (cost, node-sequence) pairs, but its counters and
-expansion order are free to differ — bucket pops reorder the search.
-The properties here pin exactly that contract:
+Every search has one production kernel, held **bit-identical** to the
+reference oracle of :mod:`repro.qa.reference` — same paths, same order,
+same counters — on every input shape the serving path produces:
 
-* on continuous-cost workload networks (cost ties measure-zero) the
-  sorted path lists must match outright;
-* on integer-cost multigraphs with parallel edges, where exact cost
-  ties are common, the comparison runs through the same
-  :func:`repro.qa.invariants.answer_set_errors` predicate the
-  differential harness uses (equal cost front, equal multiplicities,
-  identical walks wherever a cost is unique);
-* corridor masks (``restrict_to``), pre-seeded result skylines
-  (``seed_paths``), and many-to-many seeds with payloads all preserve
-  the equality;
-* degenerate bucket sizes (1, 3) exercise the bucketing edge cases
-  without changing any answer;
-* the fused many-query kernel (:func:`fused_skyline_batch`) — one
-  bucket traversal shared across a whole serving batch — must be
-  answer-set-equal to serving every query alone, including repeated
-  targets/pairs (the shared bound cache must not couple answers),
-  mixed bound providers, and trivial/unreachable endpoints.
+* integer-cost multigraphs with parallel edges, sparse ids and both
+  directedness modes, where exact cost ties are common;
+* every bound provider (zero, exact reverse Dijkstra, landmarks);
+* corridor restrictions (``restrict_to``), pre-seeded result skylines
+  (``seed_paths``), and many-to-many seeds with payloads;
+* budgets, trivial and unreachable endpoints.
+
+The fused many-query kernel (:func:`fused_skyline_batch`) — one bucket
+traversal shared across a whole serving batch — sits in the weaker
+tier: each answer must equal the reference answer as a set of (cost,
+node-sequence) pairs, including repeated targets/pairs (the shared
+bound cache must not couple answers), mixed bound providers, and
+trivial/unreachable endpoints; its counters are free to differ.
 """
 
 from __future__ import annotations
@@ -30,21 +25,21 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel.batch_kernel import (
-    batch_many_to_many,
-    batch_skyline_paths,
-    fused_skyline_batch,
-)
+from repro.accel import batch_kernel
+from repro.accel.batch_kernel import fused_skyline_batch
 from repro.accel.csr import CSRSnapshot
 from repro.graph.mcrn import MultiCostGraph
 from repro.paths.path import Path
+from repro.qa import reference
 from repro.qa.invariants import answer_set_errors
 from repro.qa.workload import CaseSpec, build_case
 from repro.search.bbs import skyline_paths
-from repro.search.bounds import ExactBounds, ZeroBounds
+from repro.search.bounds import ExactBounds, LandmarkLowerBounds, ZeroBounds
+from repro.search.landmark import LandmarkIndex
 from repro.search.mbbs import Seed, many_to_many_skyline
 
 
@@ -76,58 +71,62 @@ def sorted_answers(result):
     return sorted((p.cost, p.nodes) for p in result.paths)
 
 
-def hit_sets(result):
-    """m_BBS hits as order-insensitive per-target answer sets."""
+def assert_identical(ours, theirs):
+    """Same paths in the same order, same search counters."""
+    assert [(p.nodes, p.cost) for p in ours.paths] == [
+        (p.nodes, p.cost) for p in theirs.paths
+    ]
+    assert ours.stats.as_span_counters() == theirs.stats.as_span_counters()
+    assert ours.stats.timed_out == theirs.stats.timed_out
+
+
+def hit_rows(result):
+    """m_BBS hits in iteration order, payloads included."""
     return {
-        target: sorted(
+        target: [
             (cost, payload, path.nodes, path.cost)
             for cost, (payload, path) in pareto
-        )
+        ]
         for target, pareto in result.hits.items()
     }
 
 
 class TestAnswerSetEquality:
+    """Production BBS against the reference: identical on every input."""
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_multigraph_equality_modulo_cost_ties(self, seed):
-        """Integer costs tie freely, so batch answers are compared with
-        the harness predicate: equal cost fronts with equal
-        multiplicities, identical walks on unique costs."""
+        """Integer costs tie freely; tie resolution must still match,
+        because both searches push in the same order."""
         graph = random_multigraph(seed)
         snapshot = CSRSnapshot.from_graph(graph)
         nodes = sorted(graph.nodes())
         rng = random.Random(seed + 1)
         for _ in range(4):
             source, target = rng.sample(nodes, 2)
-            flat = skyline_paths(
-                graph, source, target, engine="flat", snapshot=snapshot
-            )
-            batch = skyline_paths(
-                graph, source, target, engine="batch", snapshot=snapshot
-            )
-            assert not answer_set_errors(
-                "flat", flat.paths, "batch", batch.paths, graph
+            assert_identical(
+                reference.skyline_paths(graph, source, target),
+                skyline_paths(graph, source, target, snapshot=snapshot),
             )
 
     @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=20, deadline=None)
     def test_workload_paths_identical_sorted_by_cost(self, seed):
-        """Continuous costs never tie, so the sorted path lists must
-        match outright — while the counters are free to diverge."""
+        """Landmark bounds, the serving path's default provider."""
         case, snapshot = workload_case(seed)
+        landmarks = LandmarkIndex(case.graph, 4)
         for source, target in case.queries:
-            flat = skyline_paths(
-                case.graph, source, target, engine="flat", snapshot=snapshot
+            bounds = LandmarkLowerBounds(landmarks, [target])
+            assert_identical(
+                reference.skyline_paths(
+                    case.graph, source, target, bounds=bounds
+                ),
+                skyline_paths(
+                    case.graph, source, target, bounds=bounds,
+                    snapshot=snapshot,
+                ),
             )
-            batch = skyline_paths(
-                case.graph, source, target, engine="batch", snapshot=snapshot
-            )
-            assert sorted_answers(batch) == sorted_answers(flat)
-            # The counters-may-differ tier is a one-way contract: no
-            # assertion ties batch.stats to flat.stats, only that the
-            # batch run reports a coherent expansion count.
-            assert batch.stats.expansions >= 0
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
@@ -136,60 +135,59 @@ class TestAnswerSetEquality:
         source, target = case.queries[0]
         for bounds in (ZeroBounds(case.graph.dim),
                        ExactBounds(case.graph, [target])):
-            flat = skyline_paths(
-                case.graph, source, target, engine="flat",
-                snapshot=snapshot, bounds=bounds,
+            assert_identical(
+                reference.skyline_paths(
+                    case.graph, source, target, bounds=bounds
+                ),
+                skyline_paths(
+                    case.graph, source, target, snapshot=snapshot,
+                    bounds=bounds,
+                ),
             )
-            batch = skyline_paths(
-                case.graph, source, target, engine="batch",
-                snapshot=snapshot, bounds=bounds,
-            )
-            assert sorted_answers(batch) == sorted_answers(flat)
 
 
 class TestRestrictionAndSeeding:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_corridor_mask_equality(self, seed):
-        """A random node restriction (the corridor-serving shape) must
-        leave batch answer-set-equal to flat on the restricted graph."""
+        """A random node restriction (the corridor-serving shape)."""
         case, snapshot = workload_case(seed)
         rng = random.Random(seed + 2)
         source, target = case.queries[0]
         nodes = sorted(case.graph.nodes())
         corridor = set(rng.sample(nodes, max(2, len(nodes) * 2 // 3)))
         corridor.update((source, target))
-        flat = skyline_paths(
-            case.graph, source, target, engine="flat",
-            snapshot=snapshot, restrict_to=corridor,
+        assert_identical(
+            reference.skyline_paths(
+                case.graph, source, target, restrict_to=corridor
+            ),
+            skyline_paths(
+                case.graph, source, target, snapshot=snapshot,
+                restrict_to=corridor,
+            ),
         )
-        batch = skyline_paths(
-            case.graph, source, target, engine="batch",
-            snapshot=snapshot, restrict_to=corridor,
-        )
-        assert sorted_answers(batch) == sorted_answers(flat)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def test_seed_paths_equality(self, seed):
-        """Pre-seeded result skylines (corridor escalation hands the
-        backbone answer down) prune both kernels identically."""
+        """Pre-seeded result skylines (the corridor hands the backbone
+        answer down) prune both searches identically."""
         case, snapshot = workload_case(seed)
         source, target = case.queries[0]
-        exact = skyline_paths(case.graph, source, target).paths
+        exact = reference.skyline_paths(case.graph, source, target).paths
         if not exact:
             return
         seeds = [Path(exact[0].nodes, exact[0].cost)]
-        flat = skyline_paths(
-            case.graph, source, target, engine="flat",
-            snapshot=snapshot, seed_paths=seeds,
+        ours = reference.skyline_paths(
+            case.graph, source, target, seed_with_shortest_paths=False,
+            seed_paths=seeds,
         )
-        batch = skyline_paths(
-            case.graph, source, target, engine="batch",
-            snapshot=snapshot, seed_paths=seeds,
+        theirs = skyline_paths(
+            case.graph, source, target, snapshot=snapshot,
+            seed_with_shortest_paths=False, seed_paths=seeds,
         )
-        assert sorted_answers(batch) == sorted_answers(flat)
-        assert sorted_answers(batch) == sorted(
+        assert_identical(ours, theirs)
+        assert sorted_answers(theirs) == sorted(
             (p.cost, p.nodes) for p in exact
         )
 
@@ -198,8 +196,8 @@ class TestManyToMany:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_hits_equal_flat(self, seed):
-        """m_BBS seeds with payloads and non-zero initial costs: every
-        target's hit list must match flat as (cost, payload) sets."""
+        """Seeds with payloads and non-zero initial costs: every
+        target's hit list must match the reference, in order."""
         case, snapshot = workload_case(seed)
         nodes = sorted(case.graph.nodes())
         dim = case.graph.dim
@@ -213,13 +211,14 @@ class TestManyToMany:
             ),
         ]
         targets = nodes[-3:]
-        flat = many_to_many_skyline(
-            case.graph, seeds, targets, engine="flat", snapshot=snapshot
+        ours = reference.many_to_many_skyline(case.graph, seeds, targets)
+        theirs = many_to_many_skyline(
+            case.graph, seeds, targets, snapshot=snapshot
         )
-        batch = many_to_many_skyline(
-            case.graph, seeds, targets, engine="batch", snapshot=snapshot
+        assert hit_rows(ours) == hit_rows(theirs)
+        assert (
+            ours.stats.as_span_counters() == theirs.stats.as_span_counters()
         )
-        assert hit_sets(flat) == hit_sets(batch)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=12, deadline=None)
@@ -233,51 +232,17 @@ class TestManyToMany:
         corridor.update(nodes[-2:])
         seeds = [Seed(nodes[0], (0.0,) * dim), Seed(nodes[1], (0.0,) * dim)]
         targets = nodes[-2:]
-        flat = many_to_many_skyline(
-            case.graph, seeds, targets, engine="flat",
-            snapshot=snapshot, restrict_to=corridor,
+        ours = reference.many_to_many_skyline(
+            case.graph, seeds, targets, restrict_to=corridor
         )
-        batch = many_to_many_skyline(
-            case.graph, seeds, targets, engine="batch",
-            snapshot=snapshot, restrict_to=corridor,
+        theirs = many_to_many_skyline(
+            case.graph, seeds, targets, snapshot=snapshot,
+            restrict_to=corridor,
         )
-        assert hit_sets(flat) == hit_sets(batch)
-
-
-class TestBucketing:
-    @given(
-        seed=st.integers(0, 10_000),
-        bucket_size=st.sampled_from((1, 3, 64)),
-    )
-    @settings(max_examples=20, deadline=None)
-    def test_bucket_size_never_changes_answers(self, seed, bucket_size):
-        """bucket_size=1 degenerates to sequential pops; any size must
-        return the same answer set."""
-        case, snapshot = workload_case(seed)
-        source, target = case.queries[0]
-        flat = skyline_paths(
-            case.graph, source, target, engine="flat", snapshot=snapshot
+        assert hit_rows(ours) == hit_rows(theirs)
+        assert (
+            ours.stats.as_span_counters() == theirs.stats.as_span_counters()
         )
-        batch = batch_skyline_paths(
-            case.graph, snapshot, source, target, bucket_size=bucket_size
-        )
-        assert sorted_answers(batch) == sorted_answers(flat)
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=10, deadline=None)
-    def test_m2m_bucket_size_one(self, seed):
-        case, snapshot = workload_case(seed)
-        nodes = sorted(case.graph.nodes())
-        dim = case.graph.dim
-        seeds = [Seed(nodes[0], (0.0,) * dim), Seed(nodes[1], (0.0,) * dim)]
-        targets = nodes[-2:]
-        flat = many_to_many_skyline(
-            case.graph, seeds, targets, engine="flat", snapshot=snapshot
-        )
-        batch = batch_many_to_many(
-            case.graph, snapshot, seeds, targets, bucket_size=1
-        )
-        assert hit_sets(flat) == hit_sets(batch)
 
 
 class TestFusedBatch:
@@ -290,10 +255,8 @@ class TestFusedBatch:
         case, snapshot = workload_case(seed)
         fused = fused_skyline_batch(case.graph, snapshot, case.queries)
         for (source, target), result in zip(case.queries, fused):
-            flat = skyline_paths(
-                case.graph, source, target, engine="flat", snapshot=snapshot
-            )
-            assert sorted_answers(result) == sorted_answers(flat)
+            ours = reference.skyline_paths(case.graph, source, target)
+            assert sorted_answers(result) == sorted_answers(ours)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -305,11 +268,9 @@ class TestFusedBatch:
         queries = [tuple(rng.sample(nodes, 2)) for _ in range(4)]
         fused = fused_skyline_batch(graph, snapshot, queries)
         for (source, target), result in zip(queries, fused):
-            flat = skyline_paths(
-                graph, source, target, engine="flat", snapshot=snapshot
-            )
+            ours = reference.skyline_paths(graph, source, target)
             assert not answer_set_errors(
-                "flat", flat.paths, "fused", result.paths, graph
+                "reference", ours.paths, "fused", result.paths, graph
             )
 
     @given(seed=st.integers(0, 10_000))
@@ -328,10 +289,8 @@ class TestFusedBatch:
         fused = fused_skyline_batch(case.graph, snapshot, queries)
         assert sorted_answers(fused[0]) == sorted_answers(fused[2])
         for (s, t), result in zip(queries, fused):
-            flat = skyline_paths(
-                case.graph, s, t, engine="flat", snapshot=snapshot
-            )
-            assert sorted_answers(result) == sorted_answers(flat)
+            ours = reference.skyline_paths(case.graph, s, t)
+            assert sorted_answers(result) == sorted_answers(ours)
 
     @given(
         seed=st.integers(0, 10_000),
@@ -340,10 +299,10 @@ class TestFusedBatch:
     @settings(max_examples=15, deadline=None)
     def test_bucket_size_never_changes_answers(self, seed, bucket_size):
         case, snapshot = workload_case(seed)
-        fused = fused_skyline_batch(
-            case.graph, snapshot, case.queries, bucket_size=bucket_size
-        )
         baseline = fused_skyline_batch(case.graph, snapshot, case.queries)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(batch_kernel, "FUSED_BUCKET_SIZE", bucket_size)
+            fused = fused_skyline_batch(case.graph, snapshot, case.queries)
         for a, b in zip(fused, baseline):
             assert sorted_answers(a) == sorted_answers(b)
 
@@ -360,10 +319,8 @@ class TestFusedBatch:
             case.graph, snapshot, case.queries, bounds=bounds
         )
         for (source, target), result in zip(case.queries, fused):
-            flat = skyline_paths(
-                case.graph, source, target, engine="flat", snapshot=snapshot
-            )
-            assert sorted_answers(result) == sorted_answers(flat)
+            ours = reference.skyline_paths(case.graph, source, target)
+            assert sorted_answers(result) == sorted_answers(ours)
 
     def test_trivial_and_unreachable(self):
         graph = MultiCostGraph(2, directed=True)
@@ -391,10 +348,14 @@ class TestBudgets:
     def test_max_expansions_reports_timeout(self):
         case, snapshot = workload_case(11)
         source, target = case.queries[0]
-        result = batch_skyline_paths(
-            case.graph, snapshot, source, target, max_expansions=1
+        ours = reference.skyline_paths(
+            case.graph, source, target, max_expansions=1
         )
-        assert result.stats.timed_out
+        theirs = skyline_paths(
+            case.graph, source, target, snapshot=snapshot, max_expansions=1
+        )
+        assert theirs.stats.timed_out
+        assert_identical(ours, theirs)
 
     def test_trivial_and_unreachable(self):
         graph = MultiCostGraph(2, directed=True)
@@ -402,7 +363,8 @@ class TestBudgets:
             graph.add_node(node)
         graph.add_edge(1, 2, (1.0, 1.0))
         snapshot = CSRSnapshot.from_graph(graph)
-        hit = batch_skyline_paths(graph, snapshot, 1, 2)
+        hit = skyline_paths(graph, 1, 2, snapshot=snapshot)
         assert [p.cost for p in hit.paths] == [(1.0, 1.0)]
-        miss = batch_skyline_paths(graph, snapshot, 2, 3)
+        miss = skyline_paths(graph, 2, 3, snapshot=snapshot)
         assert miss.paths == []
+        assert_identical(reference.skyline_paths(graph, 2, 3), miss)

@@ -15,6 +15,7 @@ from repro.core.params import BackboneParams
 from repro.core.query import backbone_query
 from repro.graph.generators import road_network
 from repro.graph.mcrn import MultiCostGraph
+from repro.qa import reference
 from repro.search.bbs import skyline_paths
 from repro.service.cache import ResultCache, key_generation
 
@@ -156,12 +157,8 @@ class TestRestrictedSearch:
                 seed_with_shortest_paths=False,
                 seed_paths=corridor.seed_paths,
             )
-            python = skyline_paths(
-                network, s, t, engine="python", **kwargs
-            )
-            flat = skyline_paths(
-                network, s, t, engine="flat", snapshot=snapshot, **kwargs
-            )
+            python = reference.skyline_paths(network, s, t, **kwargs)
+            flat = skyline_paths(network, s, t, snapshot=snapshot, **kwargs)
             assert [p.nodes for p in python.paths] == [
                 p.nodes for p in flat.paths
             ]

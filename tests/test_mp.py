@@ -66,7 +66,7 @@ def workload(network):
 
 def single_process_answers(network, index, workload, *, mode="auto"):
     engine = SkylineQueryEngine(
-        network, index=index, params=PARAMS, cache_size=0, engine="flat"
+        network, index=index, params=PARAMS, cache_size=0
     )
     outcome = execute_batch(
         engine, workload, max_workers=1, mode=mode, use_cache=False
@@ -200,7 +200,7 @@ class TestGenerationSwap:
             # Answers after the swap match a fresh single-process engine
             # on the maintained index.
             oracle = SkylineQueryEngine(
-                maintainer=maintainer, cache_size=0, engine="flat"
+                maintainer=maintainer, cache_size=0
             )
             for (s, t), response in zip(pairs, second.responses):
                 baseline = oracle.query(s, t, use_cache=False).paths
@@ -214,7 +214,7 @@ class TestGenerationSwap:
         nodes = sorted(network.nodes())
         pairs = [(nodes[0], nodes[-1]), (nodes[3], nodes[90])]
         oracle = SkylineQueryEngine(
-            maintainer=maintainer, cache_size=0, engine="flat"
+            maintainer=maintainer, cache_size=0
         )
         with MPBatchServer(
             maintainer.graph, maintainer=maintainer, params=PARAMS, workers=2

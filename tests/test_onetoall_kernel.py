@@ -1,12 +1,12 @@
 """Flat one-to-all kernel parity and ParetoPrep bound admissibility.
 
-The one-to-all kernel carries the same tier contract as the
-point-to-point kernels: the flat tier (``bucket_size=None``) is
-bit-identical to the python engine — same reached nodes, same skyline
-paths in the same order — while the bucket tier is answer-set-equal.
-The properties here drive both engines over randomized multigraphs
-(parallel edges, sparse node ids, both directedness modes) and through
-the ``targets`` / ``max_frontier`` narrowing options.
+The one-to-all kernel carries the same contract as the point-to-point
+kernels: it is bit-identical to the reference search of
+:mod:`repro.qa.reference` — same reached nodes, same skyline paths in
+the same order, same counters.  The properties here drive both over
+randomized multigraphs (parallel edges, sparse node ids, both
+directedness modes) and through the ``targets`` / ``max_frontier``
+narrowing options.
 
 ``pareto_prep_bound_matrix`` computes every dimension's lower bound in
 one backward pass; its admissibility contract is checked against the
@@ -35,6 +35,8 @@ from repro.accel.bounds import (
 from repro.accel.csr import CSRSnapshot
 from repro.errors import NodeNotFoundError
 from repro.graph.mcrn import MultiCostGraph
+from repro.qa import reference
+from repro.search.bbs import SearchStats
 from repro.search.bounds import ExactBounds
 from repro.search.landmark import LandmarkIndex
 from repro.search.onetoall import one_to_all_skyline
@@ -63,14 +65,6 @@ def rendered(reached: dict) -> dict:
     }
 
 
-def as_sets(reached: dict) -> dict:
-    """node -> unordered answer set, for bucket-tier compares."""
-    return {
-        node: sorted((p.nodes, p.cost) for p in paths)
-        for node, paths in reached.items()
-    }
-
-
 class TestFlatOneToAllParity:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -78,23 +72,18 @@ class TestFlatOneToAllParity:
         graph = random_multigraph(seed)
         snapshot = CSRSnapshot.from_graph(graph)
         source = sorted(graph.nodes())[seed % graph.num_nodes]
-        python = one_to_all_skyline(graph, source)
+        python_stats, flat_stats = SearchStats(), SearchStats()
+        python = reference.one_to_all_skyline(
+            graph, source, stats=python_stats
+        )
         flat = one_to_all_skyline(
-            graph, source, engine="flat", snapshot=snapshot
+            graph, source, snapshot=snapshot, stats=flat_stats
         )
+        assert list(flat) == list(python)
         assert rendered(flat) == rendered(python)
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_batch_answer_set_equal(self, seed):
-        graph = random_multigraph(seed)
-        snapshot = CSRSnapshot.from_graph(graph)
-        source = sorted(graph.nodes())[seed % graph.num_nodes]
-        python = one_to_all_skyline(graph, source)
-        batch = one_to_all_skyline(
-            graph, source, engine="batch", snapshot=snapshot
+        assert (
+            flat_stats.as_span_counters() == python_stats.as_span_counters()
         )
-        assert as_sets(batch) == as_sets(python)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -105,9 +94,9 @@ class TestFlatOneToAllParity:
         nodes = sorted(graph.nodes())
         source = nodes[seed % len(nodes)]
         targets = rng.sample(nodes, min(len(nodes), 3))
-        python = one_to_all_skyline(graph, source, targets=targets)
+        python = reference.one_to_all_skyline(graph, source, targets=targets)
         flat = one_to_all_skyline(
-            graph, source, targets=targets, engine="flat", snapshot=snapshot
+            graph, source, targets=targets, snapshot=snapshot
         )
         assert set(python) <= set(targets)
         assert rendered(flat) == rendered(python)
@@ -124,13 +113,11 @@ class TestFlatOneToAllParity:
         graph = random_multigraph(seed)
         snapshot = CSRSnapshot.from_graph(graph)
         source = sorted(graph.nodes())[seed % graph.num_nodes]
-        python = one_to_all_skyline(graph, source, max_frontier=max_frontier)
+        python = reference.one_to_all_skyline(
+            graph, source, max_frontier=max_frontier
+        )
         flat = one_to_all_skyline(
-            graph,
-            source,
-            max_frontier=max_frontier,
-            engine="flat",
-            snapshot=snapshot,
+            graph, source, max_frontier=max_frontier, snapshot=snapshot
         )
         assert rendered(flat) == rendered(python)
         assert all(
@@ -141,11 +128,9 @@ class TestFlatOneToAllParity:
         graph = random_multigraph(7)
         snapshot = CSRSnapshot.from_graph(graph)
         with pytest.raises(NodeNotFoundError):
-            one_to_all_skyline(graph, 10_001)
+            reference.one_to_all_skyline(graph, 10_001)
         with pytest.raises(NodeNotFoundError):
-            one_to_all_skyline(
-                graph, 10_001, engine="flat", snapshot=snapshot
-            )
+            one_to_all_skyline(graph, 10_001, snapshot=snapshot)
 
 
 class TestParetoPrepBounds:

@@ -10,6 +10,7 @@ from repro.errors import NodeNotFoundError, QueryError
 from repro.eval.queries import Query
 from repro.graph.generators import road_network
 from repro.service import SkylineQueryEngine, execute_batch
+from repro.service import engine as engine_module
 
 PARAMS = BackboneParams(m_max=25, m_min=5, p=0.1)
 
@@ -163,16 +164,26 @@ class TestEquivalence:
 
 
 class TestFusedExactServing:
-    """Exact-plan singles fuse into one bucket traversal on the batch
-    kernel tier, answer-set-equal to per-query serving."""
+    """Exact-plan singles fuse into one bucket traversal past the fuse
+    crossover, answer-set-equal to per-query serving.  The 240-node
+    test network sits below the measured crossover, so the fusing
+    fixtures lower it."""
 
     @pytest.fixture()
-    def batch_engine(self, network, index):
+    def batch_engine(self, network, index, monkeypatch):
+        monkeypatch.setattr(engine_module, "FUSE_NODE_CROSSOVER", 0)
         return SkylineQueryEngine(
             network, index=index, params=PARAMS,
             exact_node_threshold=network.num_nodes,  # auto -> exact
-            engine="batch",
         )
+
+    def test_fuse_decision_follows_node_count(self):
+        """An 8-pair exact batch fuses at 1,200 nodes, not at 150."""
+        small = SkylineQueryEngine(road_network(150, dim=2, seed=3))
+        large = SkylineQueryEngine(road_network(1200, dim=2, seed=3))
+        assert not small.batch_tier(8)
+        assert large.batch_tier(8)
+        assert not large.batch_tier(1)
 
     def test_exact_singles_fused(self, batch_engine, workload):
         outcome = execute_batch(batch_engine, workload, max_workers=2)
@@ -204,10 +215,10 @@ class TestFusedExactServing:
         assert outcome.responses[0].mode == "exact"
 
     def test_flat_tier_never_fuses(self, network, index, workload):
+        """Below the crossover every exact query runs the flat kernel."""
         engine = SkylineQueryEngine(
             network, index=index, params=PARAMS,
             exact_node_threshold=network.num_nodes,
-            engine="flat",
         )
         outcome = execute_batch(engine, workload, max_workers=2)
         assert outcome.fused_queries == 0
@@ -215,24 +226,26 @@ class TestFusedExactServing:
             engine.metrics_snapshot()["counters"]
         )
 
-    def test_direct_method_python_fallback(self, network, index, workload):
-        """query_batch_fused off the batch tier serves serially with
-        identical answers, so callers may route unconditionally."""
-        python_engine = SkylineQueryEngine(
-            network, index=index, params=PARAMS, engine="python"
-        )
-        batch_engine = SkylineQueryEngine(
-            network, index=index, params=PARAMS, engine="batch"
-        )
+    def test_direct_method_python_fallback(
+        self, network, index, workload, monkeypatch
+    ):
+        """query_batch_fused below the crossover serves serially with
+        the fused answers, so callers may route unconditionally."""
+        serial_engine = SkylineQueryEngine(network, index=index, params=PARAMS)
         pairs = list(dict.fromkeys(workload))[:4]
-        serial = python_engine.query_batch_fused(pairs, use_cache=False)
+        serial = serial_engine.query_batch_fused(pairs, use_cache=False)
+        monkeypatch.setattr(engine_module, "FUSE_NODE_CROSSOVER", 0)
+        batch_engine = SkylineQueryEngine(network, index=index, params=PARAMS)
         fused = batch_engine.query_batch_fused(pairs, use_cache=False)
         assert [costs(r.paths) for r in serial] == [
             costs(r.paths) for r in fused
         ]
         assert "engine.fused_batches" not in (
-            python_engine.metrics_snapshot()["counters"]
+            serial_engine.metrics_snapshot()["counters"]
         )
+        assert batch_engine.metrics_snapshot()["counters"][
+            "engine.fused_batches"
+        ] == 1
 
 
 class TestFailuresAndAccounting:

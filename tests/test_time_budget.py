@@ -23,14 +23,37 @@ import pytest
 
 import repro.accel.bbs_kernel as bbs_kernel_module
 import repro.accel.onetoall_kernel as onetoall_kernel_module
-import repro.search.bbs as bbs_module
-import repro.search.mbbs as mbbs_module
-import repro.search.onetoall as onetoall_module
+import repro.qa.reference as reference_module
 from repro.accel.csr import CSRSnapshot
+from repro.graph.mcrn import MultiCostGraph
 from repro.search.bbs import SearchStats, skyline_paths
 from repro.search.bounds import ZeroBounds
 from repro.search.mbbs import Seed, many_to_many_skyline
 from repro.search.onetoall import one_to_all_skyline
+
+# Every loop runs twice: "python" is the reference oracle of
+# repro.qa.reference, "flat" the production CSR kernel.
+ENGINES = ["python", "flat"]
+
+
+def search(engine: str, kind: str, graph):
+    """The ``kind`` search ("bbs", "mbbs", "onetoall") of one engine,
+    with the production kernel bound to a fresh snapshot."""
+    if engine == "python":
+        return {
+            "bbs": reference_module.skyline_paths,
+            "mbbs": reference_module.many_to_many_skyline,
+            "onetoall": reference_module.one_to_all_skyline,
+        }[kind]
+    production = {
+        "bbs": skyline_paths,
+        "mbbs": many_to_many_skyline,
+        "onetoall": one_to_all_skyline,
+    }[kind]
+    snapshot = CSRSnapshot.from_graph(graph)
+    return lambda *args, **kwargs: production(
+        *args, snapshot=snapshot, **kwargs
+    )
 
 S, X, Y = 0, 1, 2
 FIRST_M = 3
@@ -69,7 +92,7 @@ def starvation_graph():
     target ``Y``) or a frontier eviction (m_BBS expanding through ``Y``)
     invalidates every one of those labels before they pop.
     """
-    graph = bbs_module.MultiCostGraph(2)
+    graph = MultiCostGraph(2)
     graph.add_edge(S, X, (1.0, 1.0))
     graph.add_edge(S, Y, (10.0, 10.0))
     graph.add_edge(Y, FIRST_M, (1.0, 1.0))
@@ -83,10 +106,8 @@ def starvation_graph():
 @pytest.fixture
 def clock(monkeypatch):
     fake = FakeClock()
-    monkeypatch.setattr(bbs_module, "time", fake)
-    monkeypatch.setattr(mbbs_module, "time", fake)
+    monkeypatch.setattr(reference_module, "time", fake)
     monkeypatch.setattr(bbs_kernel_module, "time", fake)
-    monkeypatch.setattr(onetoall_module, "time", fake)
     monkeypatch.setattr(onetoall_kernel_module, "time", fake)
     return fake
 
@@ -102,42 +123,36 @@ def assert_timed_out_promptly(stats, clock) -> None:
     assert clock.calls_after_trip <= 2
 
 
-@pytest.mark.parametrize("engine", ["python", "flat"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_bbs_budget_survives_pruned_pop_run(engine, clock):
     graph = starvation_graph()
-    snapshot = CSRSnapshot.from_graph(graph) if engine == "flat" else None
-    result = skyline_paths(
+    result = search(engine, "bbs", graph)(
         graph,
         S,
         Y,
         bounds=ZeroBounds(graph.dim),
         seed_with_shortest_paths=False,
         time_budget=BUDGET,
-        engine=engine,
-        snapshot=snapshot,
     )
     assert_timed_out_promptly(result.stats, clock)
     # The answer found before expiry is still returned.
     assert [p.cost for p in result.paths] == [(10.0, 10.0)]
 
 
-@pytest.mark.parametrize("engine", ["python", "flat"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_mbbs_budget_survives_stale_pop_run(engine, clock):
     graph = starvation_graph()
-    snapshot = CSRSnapshot.from_graph(graph) if engine == "flat" else None
-    result = many_to_many_skyline(
+    result = search(engine, "mbbs", graph)(
         graph,
         [Seed(S, (0.0, 0.0))],
         [Y],
         time_budget=BUDGET,
-        engine=engine,
-        snapshot=snapshot,
     )
     assert_timed_out_promptly(result.stats, clock)
     assert Y in result.hits
 
 
-@pytest.mark.parametrize("engine", ["python", "flat"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_onetoall_budget_survives_stale_pop_run(engine, clock):
     # One-to-all has no result skyline to prune against, but frontier
     # evictions produce the same pathology: the cheap S->Y->m path pops
@@ -145,53 +160,44 @@ def test_onetoall_budget_survives_stale_pop_run(engine, clock):
     # leaving a run of STALE_POPS stale pops that never increment
     # ``expansions`` — only a monotone loop-count gate reads the clock.
     graph = starvation_graph()
-    snapshot = CSRSnapshot.from_graph(graph) if engine == "flat" else None
     stats = SearchStats()
-    reached = one_to_all_skyline(
+    reached = search(engine, "onetoall", graph)(
         graph,
         S,
         time_budget=BUDGET,
         stats=stats,
-        engine=engine,
-        snapshot=snapshot,
     )
     assert_timed_out_promptly(stats, clock)
     # The partial skyline found before expiry is still returned.
     assert [p.cost for p in reached[Y]] == [(10.0, 10.0)]
 
 
-@pytest.mark.parametrize("engine", ["python", "flat"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_onetoall_completes_within_budget_untouched(engine):
     graph = starvation_graph()
-    snapshot = CSRSnapshot.from_graph(graph) if engine == "flat" else None
     stats = SearchStats()
-    reached = one_to_all_skyline(
+    reached = search(engine, "onetoall", graph)(
         graph,
         S,
         time_budget=60.0,
         stats=stats,
-        engine=engine,
-        snapshot=snapshot,
     )
     assert stats.timed_out is False
     assert [p.cost for p in reached[FIRST_M]] == [(11.0, 11.0)]
 
 
-@pytest.mark.parametrize("engine", ["python", "flat"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_bbs_completes_within_budget_untouched(engine):
     # Sanity: with a generous real budget the same workload completes
     # and is not reported as timed out.
     graph = starvation_graph()
-    snapshot = CSRSnapshot.from_graph(graph) if engine == "flat" else None
-    result = skyline_paths(
+    result = search(engine, "bbs", graph)(
         graph,
         S,
         Y,
         bounds=ZeroBounds(graph.dim),
         seed_with_shortest_paths=False,
         time_budget=60.0,
-        engine=engine,
-        snapshot=snapshot,
     )
     assert result.stats.timed_out is False
     assert [p.cost for p in result.paths] == [(10.0, 10.0)]
