@@ -3,10 +3,10 @@
 The paper's BBS inherits landmark lower bounds from [29]; [45] replaced
 them with exact reverse-Dijkstra bounds.  This ablation quantifies the
 trade-off on the scaled C9_NY stand-in: expansions and wall time for
-BBS under exact bounds (library default), ParetoPrep one-pass bounds
-(all dimensions in a single backward sweep, numerically identical to
-exact), landmark bounds (the paper's choice, amortized across queries),
-and no bounds at all.
+BBS under exact bounds — the dict reverse Dijkstra of the reference
+provider and the served default, the same values computed over the CSR
+snapshot — landmark bounds (the paper's choice, amortized across
+queries), and no bounds at all.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import time
 
 import pytest
 
-from repro.accel.bounds import ParetoPrepBounds
 from repro.accel.csr import CSRSnapshot
 from repro.datasets import load_subgraph
 from repro.eval import fmt_seconds, format_table, random_queries
@@ -35,9 +34,8 @@ def bounds_data():
 
     providers = {
         "exact (reverse Dijkstra)": lambda q: ExactBounds(graph, [q.target]),
-        "pareto_prep (one pass)": lambda q: ParetoPrepBounds(
-            snapshot, [q.target]
-        ),
+        # None: the search's own exact matrix over the snapshot.
+        "exact (CSR snapshot, served)": lambda q: None,
         "landmark (8 landmarks)": lambda q: LandmarkLowerBounds(
             landmark_index, [q.target]
         ),
@@ -54,6 +52,7 @@ def bounds_data():
                 q.target,
                 bounds=factory(q),
                 time_budget=120.0,
+                snapshot=snapshot,
             )
             seconds += time.perf_counter() - started
             expansions += result.stats.expansions
@@ -90,12 +89,12 @@ def test_exact_bounds_prune_most(bounds_data):
     assert exact <= zero
 
 
-def test_pareto_prep_prunes_like_exact(bounds_data):
-    # The one-pass bounds are numerically identical to the per-dimension
-    # reverse Dijkstra, so the search must do exactly the same work.
+def test_served_bounds_prune_like_exact(bounds_data):
+    # The snapshot matrix holds the provider's values bit for bit, so
+    # the search must do exactly the same work.
     exact = bounds_data["exact (reverse Dijkstra)"]["expansions"]
-    prep = bounds_data["pareto_prep (one pass)"]["expansions"]
-    assert prep == exact
+    served = bounds_data["exact (CSR snapshot, served)"]["expansions"]
+    assert served == exact
 
 
 def test_landmark_bounds_between(bounds_data):

@@ -294,9 +294,10 @@ def test_fig10_fuse_crossover(workload_seed, monkeypatch):
     """Where fusing pays: fused vs per-query flat ``execute_batch``.
 
     Selectable with ``-k fuse_crossover``.  On C9_NY stand-ins of 150,
-    400 and 1,200 nodes, 64 exact pairs with path hops in [10, 40] (the
+    250, 400 and 1,200 nodes, 64 exact pairs with path hops in [10, 40] (the
     serving benchmark's exact-batch band) are served in batches of 8
-    through a warm engine with landmark bounds, once with every batch
+    through a warm engine (exact bounds over its CSR snapshot, as
+    served), once with every batch
     fused and once with every query on the flat kernel (the module's
     ``FUSE_NODE_CROSSOVER`` forced each way), in alternating rounds.
     The per-size times land in ``BENCH_batch.json`` under
@@ -320,7 +321,7 @@ def test_fig10_fuse_crossover(workload_seed, monkeypatch):
     rounds = 4
     series = {}
     rows = []
-    for size in (150, 400, 1200):
+    for size in (150, 250, 400, 1200):
         graph = load_subgraph("C9_NY", size)
         pairs = [
             (q.source, q.target)
@@ -388,98 +389,139 @@ def test_fig10_fuse_crossover(workload_seed, monkeypatch):
     record_telemetry("batch", fuse_crossover=series)
 
 
-def test_fig10_bound_providers(ny_small, workload_seed):
-    """Bound-provider A/B on the exact serving tier.
+def test_fig10_bound_providers(ny_small, workload_seed, monkeypatch):
+    """Bound A/B at the kernel level: exact vs landmark bound matrices.
 
     Independent of the quality grid (selectable with ``-k
-    bound_providers``).  The same workload is served with
-    ``mode="exact"`` under each of the engine's bound providers: exact
-    reverse-Dijkstra (one Dijkstra per dimension), ParetoPrep (all
-    dimensions in one backward pass), and the warmed landmark ALT
-    bounds.  All answers must be answer-set-equal, and ParetoPrep's
-    pruning must match exact's expansion-for-expansion — the bounds are
-    numerically identical, the one-pass sweep just computes them in one
-    traversal instead of ``dim``.
+    bound_providers``).  The fig10 workload on ny_small runs through
+    both exact kernels twice: the per-query flat kernel and one fused
+    batch call, each once with the exact reverse-Dijkstra matrices the
+    engine serves and once with landmark ALT matrices (8 landmarks
+    over the original graph, their build timed separately as the
+    set-up the engine no longer pays).  The fused landmark arm swaps
+    the kernel's bound routine for the landmark matrix and seeds with
+    per-dimension shortest paths, as the fused path used to with
+    landmark bounds.  Rounds alternate the arms; every arm must return
+    the same answer sets.  ``BENCH_bench_fig10_query_time.json``
+    ``bound_providers`` records time and expansions per arm.
     """
     import statistics
     import time
 
-    from benchmarks.conftest import SCALED_M_MIN, SCALED_P, scaled_m
-    from repro.core import BackboneParams, build_backbone_index
+    from repro.accel import batch_kernel
+    from repro.accel.bounds import landmark_bound_matrix
+    from repro.accel.csr import CSRSnapshot
     from repro.eval import fmt_seconds, format_table, random_queries
-    from repro.service import SkylineQueryEngine
+    from repro.search import skyline_paths
+    from repro.search.bounds import LandmarkLowerBounds
+    from repro.search.dijkstra import per_dimension_shortest_paths
+    from repro.search.landmark import LandmarkIndex
 
-    params = BackboneParams(
-        m_max=scaled_m(400), m_min=SCALED_M_MIN, p=SCALED_P
-    )
-    index = build_backbone_index(ny_small, params)
-    queries = random_queries(ny_small, 6, seed=workload_seed, min_hops=10)
-
-    data = {}
-    for provider in ("exact", "pareto_prep", "landmark"):
-        engine = SkylineQueryEngine(
-            ny_small,
-            index=index,
-            params=params,
-            cache_size=0,
-            bound_provider=provider,
-        )
-        engine.warm()
-
-        def run():
-            answers, expansions = [], 0
-            started = time.perf_counter()
-            for q in queries:
-                response = engine.query(q.source, q.target, mode="exact")
-                answers.append(sorted((p.cost, p.nodes) for p in response.paths))
-                if response.stats is not None:
-                    expansions += response.stats.expansions
-            return time.perf_counter() - started, answers, expansions
-
-        run()  # warm-up: memoized CSR views, imports
-        times = []
-        for _ in range(3):
-            elapsed, answers, expansions = run()
-            times.append(elapsed)
-        data[provider] = {
-            "mean_seconds": statistics.mean(times),
-            "answers": answers,
-            "expansions": expansions,
-        }
-
-    exact = data["exact"]
-    assert data["pareto_prep"]["answers"] == exact["answers"]
-    assert data["landmark"]["answers"] == exact["answers"]
-    assert data["pareto_prep"]["expansions"] == exact["expansions"]
-
-    rows = [
-        [
-            provider,
-            fmt_seconds(row["mean_seconds"]),
-            f"{row['expansions']:,}",
-            f"{exact['mean_seconds'] / row['mean_seconds']:.2f}x",
-        ]
-        for provider, row in data.items()
+    graph = ny_small
+    snapshot = CSRSnapshot.from_graph(graph)
+    started = time.perf_counter()
+    landmarks = LandmarkIndex(graph, 8, csr=snapshot)
+    landmark_build_seconds = time.perf_counter() - started
+    pairs = [
+        (q.source, q.target)
+        for q in random_queries(graph, 6, seed=workload_seed, min_hops=10)
     ]
+
+    def flat(bounds):
+        def run():
+            return [
+                skyline_paths(
+                    graph, s, t, snapshot=snapshot,
+                    bounds=(
+                        LandmarkLowerBounds(landmarks, [t])
+                        if bounds == "landmark" else None
+                    ),
+                )
+                for s, t in pairs
+            ]
+        return run
+
+    def fused(bounds):
+        def run():
+            if bounds == "exact":
+                return batch_kernel.fused_skyline_batch(graph, snapshot, pairs)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    batch_kernel, "exact_bound_matrix",
+                    lambda snap, targets: landmark_bound_matrix(
+                        landmarks, snap, targets
+                    ),
+                )
+                patch.setattr(
+                    batch_kernel, "_seed_paths_from_bounds",
+                    lambda snap, matrix, src, dst, node_ids: (
+                        per_dimension_shortest_paths(
+                            graph, node_ids[src], node_ids[dst]
+                        )
+                    ),
+                )
+                return batch_kernel.fused_skyline_batch(graph, snapshot, pairs)
+        return run
+
+    arms = {
+        (kernel, bounds): make(bounds)
+        for kernel, make in (("flat", flat), ("fused", fused))
+        for bounds in ("exact", "landmark")
+    }
+
+    def answers(results):
+        return [sorted((p.cost, p.nodes) for p in r.paths) for r in results]
+
+    baseline = None
+    expansions = {}
+    for arm, run in arms.items():  # warm-up doubles as the equality check
+        results = run()
+        expansions[arm] = sum(r.stats.expansions for r in results)
+        if baseline is None:
+            baseline = answers(results)
+        assert answers(results) == baseline, arm
+    times = {arm: [] for arm in arms}
+    for _ in range(5):
+        for arm, run in arms.items():
+            started = time.perf_counter()
+            run()
+            times[arm].append(time.perf_counter() - started)
+
+    rows = []
+    doc: dict = {
+        "graph": "ny_small",
+        "queries": len(pairs),
+        "rounds": 5,
+        "landmark_build_seconds": landmark_build_seconds,
+    }
+    for (kernel, bounds), series in times.items():
+        median = statistics.median(series)
+        exact_median = statistics.median(times[(kernel, "exact")])
+        doc.setdefault(kernel, {})[bounds] = {
+            "median_seconds": median,
+            "seconds": series,
+            "expansions": expansions[(kernel, bounds)],
+        }
+        rows.append([
+            kernel,
+            bounds,
+            fmt_seconds(median),
+            f"{expansions[(kernel, bounds)]:,}",
+            f"{median / exact_median:.2f}x",
+        ])
     report(
         "fig10_bound_providers",
         format_table(
-            ["bound provider", "mean workload", "expansions", "vs exact"],
+            ["kernel", "bounds", "median workload", "expansions",
+             "time vs exact"],
             rows,
-            title="Figure 10 extension: exact-tier bound providers",
+            title=(
+                "Figure 10 extension: exact vs landmark bound matrices "
+                f"(landmark build {fmt_seconds(landmark_build_seconds)})"
+            ),
         ),
     )
-    record_telemetry(
-        "bench_fig10_query_time",
-        bound_providers={
-            provider: {
-                "mean_seconds": row["mean_seconds"],
-                "expansions": row["expansions"],
-                "speedup_vs_exact": exact["mean_seconds"] / row["mean_seconds"],
-            }
-            for provider, row in data.items()
-        },
-    )
+    record_telemetry("bench_fig10_query_time", bound_providers=doc)
 
 
 def test_fig10_bbs_benchmark(benchmark, fig10_report, ny_small):

@@ -20,18 +20,15 @@ from repro.accel.batch_kernel import fused_skyline_batch
 from repro.accel.bbs_kernel import flat_many_to_many, flat_skyline_paths
 from repro.accel.blob import pack_bytes, pack_nbytes, read_pack, write_pack
 from repro.accel.bounds import (
-    ParetoPrepBounds,
     exact_bound_matrix,
     landmark_bound_matrix,
     materialize_bound_matrix,
-    pareto_prep_bound_matrix,
 )
 from repro.accel.csr import CSRSnapshot
 from repro.accel.onetoall_kernel import flat_label_rows, flat_one_to_all
 
 __all__ = [
     "CSRSnapshot",
-    "ParetoPrepBounds",
     "exact_bound_matrix",
     "flat_label_rows",
     "flat_many_to_many",
@@ -40,7 +37,6 @@ __all__ = [
     "fused_skyline_batch",
     "landmark_bound_matrix",
     "materialize_bound_matrix",
-    "pareto_prep_bound_matrix",
     "pack_bytes",
     "pack_nbytes",
     "read_pack",

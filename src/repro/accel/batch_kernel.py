@@ -59,14 +59,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.accel.bounds import exact_bound_matrix, materialize_bound_matrix
+from repro.accel.bounds import exact_bound_matrix
 from repro.accel.csr import CSRSnapshot
 from repro.errors import NodeNotFoundError
 from repro.graph.mcrn import MultiCostGraph
 from repro.paths.path import Path
 from repro.paths.vector_frontier import VectorParetoSet
-from repro.search.bounds import LowerBoundProvider
-from repro.search.dijkstra import per_dimension_shortest_paths
 
 # The fused kernel amortizes each bucket's numpy passes across every
 # query in the batch: on the fig10 serving workload (ny~1200, 6
@@ -384,7 +382,6 @@ def fused_skyline_batch(
     snapshot: CSRSnapshot,
     queries: Sequence[tuple[int, int]],
     *,
-    bounds: Sequence[LowerBoundProvider | None] | None = None,
     seed_with_shortest_paths: bool = True,
     time_budget: float | None = None,
     max_expansions: int | None = None,
@@ -415,8 +412,8 @@ def fused_skyline_batch(
     flat kernel's answer set for that pair (equal-cost alternates may
     differ, counters may differ).
 
-    ``bounds`` optionally gives one provider per query (``None``
-    entries fall back to exact reverse-Dijkstra bounds).
+    Every query is bounded by exact reverse Dijkstra to its target,
+    computed once per distinct target in the batch.
     ``time_budget`` and ``max_expansions`` cap the *whole batch*; on
     expiry every query's stats report ``timed_out`` (the shared
     traversal cannot attribute the shortfall).  Returns one
@@ -426,8 +423,6 @@ def fused_skyline_batch(
 
     start_time = time.perf_counter()
     n_queries = len(queries)
-    if bounds is not None and len(bounds) != n_queries:
-        raise ValueError("bounds must align with queries")
     all_stats = [SearchStats() for _ in range(n_queries)]
     if time_budget is not None and time_budget <= 0:
         for stats in all_stats:
@@ -456,23 +451,17 @@ def fused_skyline_batch(
     bound_stack = np.empty((n_queries, n, dim), dtype=np.float64)
     exact_cache: dict[int, np.ndarray] = {}
     for q in range(n_queries):
-        provider = bounds[q] if bounds is not None else None
-        if provider is None:
-            # Batches repeat targets (dedup only merges identical
-            # source AND target pairs); one reverse Dijkstra per
-            # unique one.  (A vectorized Bellman-Ford over all targets
-            # at once loses here: road-network shortest-path trees run
-            # >100 hops deep, so the sweep pays >100 small-array numpy
-            # rounds against ~1.7 ms per heap Dijkstra.)
-            key = int(dst[q])
-            cached = exact_cache.get(key)
-            if cached is None:
-                cached = exact_cache[key] = exact_bound_matrix(
-                    snapshot, [key]
-                )
-            bound_stack[q] = cached
-        else:
-            bound_stack[q] = materialize_bound_matrix(provider, snapshot)
+        # Batches repeat targets (dedup only merges identical source
+        # AND target pairs); one reverse Dijkstra per unique one.  (A
+        # vectorized Bellman-Ford over all targets at once loses here:
+        # road-network shortest-path trees run >100 hops deep, so the
+        # sweep pays >100 small-array numpy rounds against ~3 ms per
+        # heap-Dijkstra matrix on C9_NY~1200.)
+        key = int(dst[q])
+        cached = exact_cache.get(key)
+        if cached is None:
+            cached = exact_cache[key] = exact_bound_matrix(snapshot, [key])
+        bound_stack[q] = cached
 
     # Result skylines: the VectorParetoSet mirror is authoritative for
     # *costs*; witnesses accumulate in a plain list and are filtered by
@@ -502,17 +491,14 @@ def fused_skyline_batch(
 
     for q, (source, target) in enumerate(queries):
         if seed_with_shortest_paths and source != target:
-            if bounds is None or bounds[q] is None:
-                # Exact bound matrices double as shortest-path trees.
-                seeds = _seed_paths_from_bounds(
-                    snapshot,
-                    bound_stack[q],
-                    snapshot.dense_of(source),
-                    int(dst[q]),
-                    node_ids,
-                )
-            else:
-                seeds = per_dimension_shortest_paths(graph, source, target)
+            # Exact bound matrices double as shortest-path trees.
+            seeds = _seed_paths_from_bounds(
+                snapshot,
+                bound_stack[q],
+                snapshot.dense_of(source),
+                int(dst[q]),
+                node_ids,
+            )
             for path in seeds:
                 record_hit(q, path, path.cost)
 

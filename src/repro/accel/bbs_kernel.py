@@ -90,7 +90,9 @@ def flat_skyline_paths(
     is a dense boolean restriction over the snapshot's node space
     (corridor search); masked-out neighbors are skipped before any cost
     arithmetic — the same point the reference loop applies its
-    membership check — so restricted runs stay bit-identical.
+    membership check — so restricted runs stay bit-identical.  Without
+    ``bounds`` the search is bounded by exact reverse Dijkstra inside
+    the mask (the whole graph when unrestricted).
     """
     from repro.search.bbs import SearchStats, SkylineResult
 
@@ -105,7 +107,15 @@ def flat_skyline_paths(
     src = snapshot.dense_of(source)
     dst = snapshot.dense_of(target)
     if bounds is None:
-        bound_rows = _bound_rows(exact_bound_matrix(snapshot, [dst]))
+        # The restricted search enters only masked nodes (plus its
+        # source), so reverse Dijkstra inside that set bounds it.
+        bound_mask = node_mask
+        if bound_mask is not None and not bound_mask[src]:
+            bound_mask = list(bound_mask)
+            bound_mask[src] = True
+        bound_rows = _bound_rows(
+            exact_bound_matrix(snapshot, [dst], node_mask=bound_mask)
+        )
     else:
         bound_rows = _bound_rows(materialize_bound_matrix(bounds, snapshot))
 
@@ -294,7 +304,6 @@ def flat_many_to_many(
         # Mirrors ZeroBounds: the addition still runs so projected costs
         # match the reference bit for bit.
         bound_rows: list = [(0.0,) * dim] * snapshot.num_nodes
-        bound_provider = None
     else:
         # m_BBS searches on G_L touch a small slice of the node set but
         # aim at many targets, so dense up-front materialization loses;
@@ -302,7 +311,6 @@ def flat_many_to_many(
         # exact tuples the reference sees, computed once per node
         # rather than once per push.
         bound_rows = [None] * snapshot.num_nodes
-        bound_provider = bounds
 
     indptr, indices_list = snapshot.adjacency_lists()
     cost_tuples = snapshot.cost_tuples()
@@ -319,7 +327,7 @@ def flat_many_to_many(
         brow = bound_rows[label.node]
         if brow is None:
             brow = bound_rows[label.node] = tuple(
-                bound_provider.bound(node_ids[label.node])
+                bounds.bound(node_ids[label.node])
             )
         projected = tuple(c + b for c, b in zip(label.cost, brow))
         if _INF in projected:
@@ -381,7 +389,7 @@ def flat_many_to_many(
             brow = bound_rows[neighbor]
             if brow is None:
                 brow = bound_rows[neighbor] = tuple(
-                    bound_provider.bound(node_ids[neighbor])
+                    bounds.bound(node_ids[neighbor])
                 )
             if two_d:
                 extended = (lcost[0] + w[0], lcost[1] + w[1])

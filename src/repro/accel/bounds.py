@@ -11,6 +11,8 @@ the exact same values the corresponding providers would return:
   :class:`~repro.search.bounds.ExactBounds` bit for bit — Dijkstra
   distances are accumulation-order-deterministic and relaxing parallel
   slots independently equals relaxing their per-dimension minimum.
+  It is the bound of every exact search the engine serves; given a
+  node mask it bounds within the masked subgraph (corridor search).
 * :func:`landmark_bound_matrix` vectorizes the ALT triangle bound of
   :class:`~repro.search.landmark.LandmarkIndex` (abs/max/min are exact
   IEEE operations, so values again match the dict implementation).
@@ -20,7 +22,6 @@ the exact same values the corresponding providers would return:
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Sequence
 from heapq import heappop, heappush
 
@@ -43,12 +44,16 @@ def csr_shortest_costs(
     dim_index: int,
     *,
     reverse: bool = False,
+    node_mask: Sequence[bool] | None = None,
 ) -> list[float]:
     """Single-dimension (multi-source) Dijkstra over the CSR arrays.
 
     Returns a dense list of distances (``inf`` for unreachable nodes).
     Multi-source start gives the minimum distance from any source, which
-    is exactly the per-target minimum a bound provider needs.
+    is exactly the per-target minimum a bound provider needs.  With a
+    dense ``node_mask`` the search never enters a masked-out node, so
+    distances are those of the masked subgraph (the sources themselves
+    always start).
     """
     indptr, indices = snapshot.adjacency_lists(reverse=reverse)
     weights = snapshot.weight_lists(reverse=reverse)[dim_index]
@@ -65,20 +70,29 @@ def csr_shortest_costs(
         for k in range(indptr[u], indptr[u + 1]):
             v = indices[k]
             nd = d + weights[k]
-            if nd < dist[v]:
+            if nd < dist[v] and (node_mask is None or node_mask[v]):
                 dist[v] = nd
                 heappush(heap, (nd, v))
     return dist
 
 
 def exact_bound_matrix(
-    snapshot: CSRSnapshot, dense_targets: Sequence[int]
+    snapshot: CSRSnapshot,
+    dense_targets: Sequence[int],
+    *,
+    node_mask: Sequence[bool] | None = None,
 ) -> np.ndarray:
-    """Exact reverse-Dijkstra bounds to the nearest target, per dimension."""
+    """Exact reverse-Dijkstra bounds to the nearest target, per dimension.
+
+    ``node_mask`` confines the reverse searches to the nodes a
+    restricted forward search may enter.  The bounds stay admissible
+    for that search (it never leaves the mask), are at least as tight
+    as full-graph bounds, and cost time proportional to the mask.
+    """
     matrix = np.empty((snapshot.num_nodes, snapshot.dim), dtype=np.float64)
     for i in range(snapshot.dim):
         matrix[:, i] = csr_shortest_costs(
-            snapshot, dense_targets, i, reverse=True
+            snapshot, dense_targets, i, reverse=True, node_mask=node_mask
         )
     return matrix
 
@@ -122,98 +136,12 @@ def landmark_bound_matrix(
     return best
 
 
-def pareto_prep_bound_matrix(
-    snapshot: CSRSnapshot, dense_targets: Sequence[int]
-) -> np.ndarray:
-    """All-dimension lower bounds in ONE backward pass (ParetoPrep).
-
-    The bound-computation phase of ParetoPrep: a backward
-    label-correcting relaxation (SPFA over the reverse adjacency) that
-    relaxes every cost dimension jointly while traversing each edge
-    once per queue visit, instead of running ``dim`` independent
-    reverse Dijkstras.  At the fixpoint each dimension's entry is the
-    per-dimension shortest distance to the nearest target — the same
-    minimum over left-accumulated path sums Dijkstra converges to, so
-    the matrix equals :func:`exact_bound_matrix` bit for bit
-    (non-negative weights; both algorithms admit exactly the same set
-    of accumulated values and keep the strict minimum).
-
-    Returns an ``(n, dim)`` float64 matrix, ``inf`` for nodes that
-    cannot reach any target.
-    """
-    indptr, indices = snapshot.adjacency_lists(reverse=True)
-    weight_lists = snapshot.weight_lists(reverse=True)
-    dim = snapshot.dim
-    n = snapshot.num_nodes
-    dist: list[list[float]] = [[_INF] * dim for _ in range(n)]
-    queue: deque[int] = deque()
-    queued = [False] * n
-    for target in dense_targets:
-        row = dist[target]
-        for i in range(dim):
-            row[i] = 0.0
-        if not queued[target]:
-            queued[target] = True
-            queue.append(target)
-    while queue:
-        u = queue.popleft()
-        queued[u] = False
-        du = dist[u]
-        for k in range(indptr[u], indptr[u + 1]):
-            v = indices[k]
-            dv = dist[v]
-            improved = False
-            for i in range(dim):
-                nd = du[i] + weight_lists[i][k]
-                if nd < dv[i]:
-                    dv[i] = nd
-                    improved = True
-            if improved and not queued[v]:
-                queued[v] = True
-                queue.append(v)
-    return np.array(dist, dtype=np.float64)
-
-
-class ParetoPrepBounds:
-    """Bound provider backed by :func:`pareto_prep_bound_matrix`.
-
-    Same values as :class:`~repro.search.bounds.ExactBounds` for the
-    same target set (exact per-dimension shortest distances), computed
-    in one traversal rather than ``dim``.  Carries its snapshot so the
-    flat-kernel warm path can hand the matrix over without re-deriving
-    it; :meth:`bound` serves per-push probes (the reference loops').
-    """
-
-    def __init__(self, snapshot: CSRSnapshot, targets: Sequence[int]) -> None:
-        self._snapshot = snapshot
-        self._targets = list(targets)
-        dense_targets = [snapshot.dense_of(t) for t in self._targets]
-        self._matrix = pareto_prep_bound_matrix(snapshot, dense_targets)
-
-    @property
-    def targets(self) -> list[int]:
-        """The target node set the bounds point at."""
-        return list(self._targets)
-
-    def matrix_for(self, snapshot: CSRSnapshot) -> np.ndarray:
-        """The bound matrix aligned to ``snapshot``'s dense ids."""
-        if snapshot is self._snapshot:
-            return self._matrix
-        dense_targets = [snapshot.dense_of(t) for t in self._targets]
-        return pareto_prep_bound_matrix(snapshot, dense_targets)
-
-    def bound(self, node: int) -> tuple[float, ...]:
-        return tuple(self._matrix[self._snapshot.dense_of(node)])
-
-
 def materialize_bound_matrix(
     provider: LowerBoundProvider, snapshot: CSRSnapshot
 ) -> np.ndarray:
     """One ``(n, dim)`` matrix holding ``provider.bound(node)`` per node."""
     if isinstance(provider, ZeroBounds):
         return np.zeros((snapshot.num_nodes, snapshot.dim), dtype=np.float64)
-    if isinstance(provider, ParetoPrepBounds):
-        return provider.matrix_for(snapshot)
     if isinstance(provider, LandmarkLowerBounds):
         dense_targets = [snapshot.dense_of(t) for t in provider.targets]
         return landmark_bound_matrix(provider.index, snapshot, dense_targets)

@@ -337,8 +337,9 @@ class CSRSnapshot:
 
         The arrays are wrapped as read-only views (a buffer-backed
         snapshot is shared state by construction; nobody may scribble on
-        it).  Shapes and dtypes are validated so a torn or mislabelled
-        segment fails loudly instead of mis-answering queries.
+        it).  Dtypes, shapes and values are validated (:meth:`_checked`)
+        so a torn or mislabelled segment fails loudly instead of
+        mis-answering queries.
         """
         dim = int(meta["dim"])
         directed = bool(meta["directed"])
@@ -370,25 +371,13 @@ class CSRSnapshot:
         indptr = view("indptr", "int32")
         indices = view("indices", "int32")
         costs = view("costs", "float64", allow_2d=True)
-        n = len(node_ids)
-        if len(indptr) != n + 1:
-            raise BuildError(
-                f"indptr has {len(indptr)} entries for {n} nodes"
-            )
-        if int(indptr[-1]) != len(indices) or costs.shape != (len(indices), dim):
-            raise BuildError("CSR buffer shapes are inconsistent")
         if directed:
             rev_indptr = view("rev_indptr", "int32")
             rev_indices = view("rev_indices", "int32")
             rev_costs = view("rev_costs", "float64", allow_2d=True)
-            if len(rev_indptr) != n + 1 or rev_costs.shape != (
-                len(rev_indices),
-                dim,
-            ):
-                raise BuildError("reverse CSR buffer shapes are inconsistent")
         else:
             rev_indptr, rev_indices, rev_costs = indptr, indices, costs
-        return cls(
+        return cls._checked(
             dim=dim,
             directed=directed,
             node_ids=node_ids,
@@ -399,6 +388,47 @@ class CSRSnapshot:
             rev_indices=rev_indices,
             rev_costs=rev_costs,
         )
+
+    @classmethod
+    def _checked(cls, **arrays) -> "CSRSnapshot":
+        """Construct from ingress arrays, rejecting any the kernels
+        cannot serve with :class:`~repro.errors.BuildError`.
+
+        Beyond shapes, every value is checked: ``indptr`` must start at
+        0 and never decrease, ``indices`` must name nodes in ``[0, n)``,
+        and costs must be finite and non-negative — one NaN weight
+        would poison every exact bound computed over the snapshot, and
+        the dominance algebra has no answer for it.
+        """
+        dim = arrays["dim"]
+        n = len(arrays["node_ids"])
+        for prefix in ("", "rev_") if arrays["directed"] else ("",):
+            indptr = arrays[prefix + "indptr"]
+            indices = arrays[prefix + "indices"]
+            costs = arrays[prefix + "costs"]
+            where = "reverse CSR" if prefix else "CSR"
+            if len(indptr) != n + 1:
+                raise BuildError(
+                    f"{where} indptr has {len(indptr)} entries for {n} nodes"
+                )
+            if int(indptr[0]) != 0 or np.any(np.diff(indptr) < 0):
+                raise BuildError(
+                    f"{where} indptr must be non-decreasing from 0"
+                )
+            if int(indptr[-1]) != len(indices) or costs.shape != (
+                len(indices),
+                dim,
+            ):
+                raise BuildError(f"{where} array shapes are inconsistent")
+            if len(indices) and (
+                int(indices.min()) < 0 or int(indices.max()) >= n
+            ):
+                raise BuildError(f"{where} indices fall outside [0, {n})")
+            if not np.all(np.isfinite(costs)) or np.any(costs < 0):
+                raise BuildError(
+                    f"{where} costs must be finite and non-negative"
+                )
+        return cls(**arrays)
 
     def raw_nbytes(self) -> int:
         """Byte size of the raw (shareable) pack of this snapshot."""
@@ -457,7 +487,8 @@ class CSRSnapshot:
 
     @classmethod
     def from_payload(cls, payload: bytes) -> "CSRSnapshot":
-        """Decode a snapshot from a store section payload."""
+        """Decode a snapshot from a store section payload (validated as
+        in :meth:`from_buffers`)."""
         reader = ByteReader(payload)
         dim = reader.uvarint()
         if dim < 1:
@@ -480,7 +511,7 @@ class CSRSnapshot:
             ).reshape(rev_slots, dim)
         else:
             rev_indptr, rev_indices, rev_costs = indptr, indices, costs
-        return cls(
+        return cls._checked(
             dim=dim,
             directed=directed,
             node_ids=node_ids,

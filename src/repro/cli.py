@@ -654,8 +654,7 @@ def cmd_warm(args: argparse.Namespace) -> int:
     print(
         f"warmed: index built in {fmt_seconds(timings['index_seconds'])} "
         f"(L={stats['height']}, {stats['label_paths']} label paths, "
-        f"{fmt_bytes(stats['size_bytes'])}), landmarks primed in "
-        f"{fmt_seconds(timings['landmark_seconds'])} -> {args.out}"
+        f"{fmt_bytes(stats['size_bytes'])}) -> {args.out}"
     )
     return 0
 
@@ -1321,7 +1320,7 @@ def build_parser() -> argparse.ArgumentParser:
                        dest="cache_size",
                        help="LRU result-cache capacity (default 1024)")
     serve.add_argument("--warm", action="store_true",
-                       help="prime index and landmarks before serving")
+                       help="prime the index and CSR snapshot before serving")
     serve.add_argument("--metrics", action="store_true",
                        help="print the plaintext metrics export to stderr")
     serve.add_argument("--trace", metavar="FILE",

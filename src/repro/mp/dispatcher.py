@@ -172,7 +172,6 @@ class _Cohort:
                     result_queue,
                     engine.graph,
                     engine.index,
-                    engine._original_landmarks,
                     shared,
                     config,
                 ),

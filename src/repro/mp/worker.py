@@ -2,8 +2,8 @@
 
 A worker is forked by :class:`repro.mp.dispatcher.MPBatchServer` with
 its whole serving context inherited copy-on-write: the graph, the
-backbone index, the shared landmark tables, and the published
-:class:`~repro.mp.shm.SharedCSR` handle.  On startup it wraps that
+backbone index, and the published :class:`~repro.mp.shm.SharedCSR`
+handle.  On startup it wraps that
 context in a local flat-engine :class:`SkylineQueryEngine` and installs
 the *shared* CSR snapshot — read-only views into the publisher's
 segment — so the flat kernels in every worker walk the same physical
@@ -80,7 +80,7 @@ class WorkerConfig:
         check_time_budget(self.default_time_budget)
 
 
-def build_worker_engine(graph, index, landmarks, shared, generation, config):
+def build_worker_engine(graph, index, shared, generation, config):
     """A serving stack around the shared snapshot.
 
     Separated from :func:`worker_main` so tests can build the exact
@@ -97,12 +97,10 @@ def build_worker_engine(graph, index, landmarks, shared, generation, config):
         corridor_radius=config.corridor_radius,
         quality_target=config.quality_target,
     )
-    # Install the shared state instead of letting the engine rebuild
+    # Install the shared snapshot instead of letting the engine rebuild
     # it: the CSR arrays are views into the published segment (the
-    # zero-copy attach), and the landmark tables are the parent's,
-    # inherited copy-on-write.
+    # zero-copy attach), and exact bounds are computed over them.
     engine._csr_original = shared.snapshot() if shared is not None else None
-    engine._original_landmarks = landmarks
     engine._generation = generation
     return engine
 
@@ -123,7 +121,6 @@ def worker_main(
     result_queue,
     graph,
     index,
-    landmarks,
     shared: SharedCSR | None,
     config: WorkerConfig,
 ) -> None:
@@ -136,7 +133,7 @@ def worker_main(
         tracer = Tracer(enabled=True)
         set_tracer(tracer)
     engine = build_worker_engine(
-        graph, index, landmarks, shared, generation, config
+        graph, index, shared, generation, config
     )
     engine.metrics.increment("mp.worker.starts")
     try:

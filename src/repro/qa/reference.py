@@ -60,6 +60,17 @@ _INF = float("inf")
 # ----------------------------------------------------------------------
 
 
+class _WithNode:
+    """A node restriction plus one extra member."""
+
+    def __init__(self, restriction, node: int) -> None:
+        self._restriction = restriction
+        self._node = node
+
+    def __contains__(self, node: int) -> bool:
+        return node == self._node or node in self._restriction
+
+
 def skyline_paths(
     graph: MultiCostGraph,
     source: int,
@@ -87,7 +98,12 @@ def skyline_paths(
         stats.elapsed_seconds = time.perf_counter() - start_time
         return SkylineResult(stats=stats)
     if bounds is None:
-        bounds = ExactBounds(graph, [target])
+        within = None
+        if restrict_to is not None:
+            # The restricted search enters only restricted nodes (plus
+            # its source), so reverse Dijkstra inside that set bounds it.
+            within = _WithNode(restrict_to, source)
+        bounds = ExactBounds(graph, [target], within=within)
 
     results = PathSet()
     if seed_with_shortest_paths:

@@ -111,7 +111,8 @@ def skyline_paths(
     ----------
     bounds:
         Lower-bound provider for pruning.  Defaults to exact reverse
-        Dijkstra bounds from the target (the strongest choice).
+        Dijkstra bounds from the target over the snapshot (the
+        strongest choice), taken inside ``restrict_to`` when given.
     seed_with_shortest_paths:
         Initialize the result set with each dimension's shortest path —
         the cold-start fix of [45] adopted by the paper's BBS.
@@ -121,8 +122,9 @@ def skyline_paths(
         node ids or a :class:`repro.approx.corridor.Corridor`).  The
         restriction must contain ``target`` (and normally ``source``)
         to produce any result; within the restricted subgraph the
-        search stays exact.  Full-graph lower bounds remain admissible
-        under restriction, only looser.
+        search stays exact.  The default bounds are computed inside the
+        restriction (plus ``source``); full-graph bounds passed as
+        ``bounds`` remain admissible, only looser.
     seed_paths:
         Extra paths pre-loaded into the result skyline (e.g. a
         corridor's unpacked backbone answer).  Each must be a real

@@ -16,7 +16,7 @@ pruning.  Three providers cover the trade-offs:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Container, Sequence
 from typing import Protocol
 
 from repro.graph.mcrn import MultiCostGraph
@@ -50,16 +50,24 @@ class ExactBounds:
 
     For multiple targets the bound on each dimension is the minimum over
     targets — optimistic, as required.  Unreachable nodes get infinite
-    bounds, which lets the search drop them immediately.
+    bounds, which lets the search drop them immediately.  ``within``
+    confines the reverse searches to the node set a restricted search
+    may enter: still admissible for that search, and tighter.
     """
 
-    def __init__(self, graph: MultiCostGraph, targets: Sequence[int]) -> None:
+    def __init__(
+        self,
+        graph: MultiCostGraph,
+        targets: Sequence[int],
+        *,
+        within: Container[int] | None = None,
+    ) -> None:
         self._dim = graph.dim
         tables: list[dict[int, float]] = [{} for _ in range(graph.dim)]
         for target in targets:
             for i in range(graph.dim):
                 for node, dist in shortest_costs(
-                    graph, target, i, reverse=True
+                    graph, target, i, reverse=True, within=within
                 ).items():
                     best = tables[i].get(node, _INF)
                     if dist < best:

@@ -11,7 +11,7 @@ paths).
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable
+from collections.abc import Container, Iterable
 
 from repro.errors import NodeNotFoundError, QueryError
 from repro.graph.mcrn import MultiCostGraph
@@ -44,12 +44,14 @@ def shortest_costs(
     *,
     targets: Iterable[int] | None = None,
     reverse: bool = False,
+    within: Container[int] | None = None,
 ) -> dict[int, float]:
     """Shortest distance on one dimension from ``source`` to every node.
 
     With ``targets`` the search stops once all targets are settled.
     ``reverse`` searches along incoming arcs (useful for directed
-    lower bounds); it is a no-op on undirected graphs.
+    lower bounds); it is a no-op on undirected graphs.  ``within``
+    confines the search to that node set (``source`` always starts).
     """
     if not graph.has_node(source):
         raise NodeNotFoundError(source)
@@ -71,7 +73,9 @@ def shortest_costs(
         for neighbor in _relax_neighbors(graph, node, reverse):
             weight = _edge_weight(graph, node, neighbor, dim_index, reverse)
             candidate = d + weight
-            if candidate < dist.get(neighbor, _INF):
+            if candidate < dist.get(neighbor, _INF) and (
+                within is None or neighbor in within
+            ):
                 dist[neighbor] = candidate
                 heapq.heappush(heap, (candidate, neighbor))
     return dist

@@ -2,10 +2,10 @@
 
 A :class:`SkylineQueryEngine` owns one loaded network plus the warm
 state that makes index-based querying pay off in a server setting: the
-backbone index (loaded, supplied, or built on demand), a landmark index
-over the original graph shared by every exact query, an LRU result
-cache, and a metrics registry.  A small planner picks the execution
-strategy per query:
+backbone index (loaded, supplied, or built on demand), a CSR snapshot
+of the served graph that every exact query searches and bounds over,
+an LRU result cache, and a metrics registry.  A small planner picks
+the execution strategy per query:
 
 * ``mode="exact"`` / ``mode="approx"`` / ``mode="corridor"`` —
   caller-forced strategy.
@@ -61,8 +61,6 @@ from repro.obs.export import aggregate_spans
 from repro.obs.tracer import Tracer, resolve_tracer
 from repro.paths.path import Path
 from repro.search.bbs import skyline_paths
-from repro.search.bounds import ExactBounds, LandmarkLowerBounds
-from repro.search.landmark import LandmarkIndex
 from repro.service.cache import ResultCache
 from repro.service.metrics import MetricsRegistry
 
@@ -131,19 +129,13 @@ CORRIDOR_CACHE_SIZE = 128
 # one fused bucket traversal (:meth:`SkylineQueryEngine.query_batch_fused`)
 # instead of one flat-kernel search per query.  BENCH_batch.json
 # "fuse_crossover" (benchmarks/bench_fig10_query_time.py -k
-# fuse_crossover: 64 exact pairs in 8-pair execute_batch calls,
-# landmark bounds, 4 rounds, on a 2-core Xeon VM) has fused vs
-# per-query flat at 0.38 vs 0.25 s on 150 nodes, 0.65 vs 0.59 s on
-# 400, and 1.22 vs 1.33 s on 1,200 (fused ahead in 3 of 4 rounds).  Fused answers are
+# fuse_crossover: 64 exact pairs in 8-pair execute_batch calls, exact
+# bounds as served, 4 rounds, on a 2-core Xeon VM) has fused vs
+# per-query flat at 0.24 vs 0.20 s on 150 nodes, 0.21 vs 0.20 s on
+# 250, 0.28 vs 0.32 s on 400 and 0.62 vs 0.72 s on 1,200 (fused ahead
+# in 4 of 4 rounds from 400 nodes on).  Fused answers are
 # answer-set-equal to per-query serving, not counter-identical.
-FUSE_NODE_CROSSOVER = 600
-
-# Lower-bound providers an engine can pin for exact/corridor queries.
-# "auto" = warm landmarks when available, exact reverse Dijkstra
-# otherwise; "pareto_prep" computes all dimensions' exact bounds in one
-# backward pass over the CSR snapshot (repro.accel.bounds) — same
-# values as "exact", one traversal instead of dim.
-BOUND_PROVIDERS = ("auto", "exact", "landmark", "pareto_prep")
+FUSE_NODE_CROSSOVER = 400
 
 
 @dataclass
@@ -214,16 +206,11 @@ class SkylineQueryEngine:
         provably misses it (or is structurally unsound when no
         reference exists) escalates to exact within the remaining time
         budget.  None disables escalation (answers are still scored).
-    bound_provider:
-        Lower-bound source for exact/corridor searches.  ``"auto"``
-        (default) uses the warm landmark index when present and falls
-        back to exact reverse Dijkstra; ``"landmark"`` and ``"exact"``
-        pin those choices; ``"pareto_prep"`` computes exact
-        per-dimension bounds for all dimensions in a single backward
-        pass over the CSR snapshot
-        (:class:`repro.accel.bounds.ParetoPrepBounds`) — identical
-        pruning to ``"exact"`` at a fraction of the preprocessing
-        cost per query.
+
+    Every exact, corridor and fused-batch search is bounded by exact
+    reverse Dijkstra over the current generation's CSR snapshot
+    (:func:`repro.accel.bounds.exact_bound_matrix`; inside the corridor
+    for the corridor tier).
     """
 
     def __init__(
@@ -242,13 +229,7 @@ class SkylineQueryEngine:
         snapshotter=None,
         corridor_radius: int = 2,
         quality_target: float | None = None,
-        bound_provider: str = "auto",
     ) -> None:
-        if bound_provider not in BOUND_PROVIDERS:
-            raise QueryError(
-                f"unknown bound provider {bound_provider!r} "
-                f"(use one of {', '.join(BOUND_PROVIDERS)})"
-            )
         check_time_budget(default_time_budget)
         if corridor_radius < 0:
             raise QueryError("corridor_radius cannot be negative")
@@ -274,11 +255,9 @@ class SkylineQueryEngine:
         self._live = None
         self.default_time_budget = default_time_budget
         self.exact_node_threshold = exact_node_threshold
-        self.bound_provider = bound_provider
         self.corridor_radius = corridor_radius
         self.quality_target = quality_target
         self._corridors = ResultCache(CORRIDOR_CACHE_SIZE)
-        self._original_landmarks: LandmarkIndex | None = None
         self._csr_original = None  # CSRSnapshot of the served graph
         self._build_lock = threading.Lock()
         self._snapshotter = snapshotter
@@ -368,28 +347,6 @@ class SkylineQueryEngine:
                 snapshot = self._csr_original
         return snapshot
 
-    def _bounds_for(self, target: int):
-        """The lower-bound provider for one exact/corridor query.
-
-        Resolves ``bound_provider``: ``"auto"`` serves warm landmarks
-        when present and exact reverse Dijkstra otherwise;
-        ``"landmark"`` behaves like ``"auto"`` (it cannot conjure an
-        unwarmed landmark index, so the exact fallback stays);
-        ``"exact"`` always runs the per-dimension reverse Dijkstras;
-        ``"pareto_prep"`` folds them into one backward pass over the
-        CSR snapshot.
-        """
-        choice = self.bound_provider
-        if choice == "pareto_prep":
-            from repro.accel.bounds import ParetoPrepBounds
-
-            return ParetoPrepBounds(self._original_snapshot(), [target])
-        if choice != "exact":
-            landmarks = self._original_landmarks
-            if landmarks is not None:
-                return LandmarkLowerBounds(landmarks, [target])
-        return ExactBounds(self._graph, [target])
-
     def batch_tier(self, exact_queries: int) -> bool:
         """Whether a batch with this many exact queries should fuse.
 
@@ -406,31 +363,20 @@ class SkylineQueryEngine:
     def warm(self) -> dict:
         """Prime everything a cold start would otherwise pay per query.
 
-        Builds the backbone index if absent, the CSR snapshot of the
-        original graph, and the shared
-        landmark index over the original graph used to bound exact
-        queries.  Returns the wall-clock seconds spent on each step.
+        Builds the backbone index if absent and the CSR snapshot of the
+        original graph that exact queries search and bound over.
+        Returns the wall-clock seconds spent on each step;
+        ``landmark_seconds`` is always 0.0 (exact queries need no
+        original-graph landmarks) and stays for readers of the dict.
         """
         timings: dict[str, float] = {}
         started = time.perf_counter()
         self.ensure_index()
         timings["index_seconds"] = time.perf_counter() - started
         started = time.perf_counter()
-        snapshot = self._original_snapshot()
+        self._original_snapshot()
         timings["csr_seconds"] = time.perf_counter() - started
-        started = time.perf_counter()
-        with self._build_lock:
-            if self._original_landmarks is None:
-                self._original_landmarks = LandmarkIndex(
-                    self._graph,
-                    min(
-                        self._params.landmark_count,
-                        max(self._graph.num_nodes, 1),
-                    ),
-                    tracer=self.tracer,
-                    csr=snapshot,
-                )
-        timings["landmark_seconds"] = time.perf_counter() - started
+        timings["landmark_seconds"] = 0.0
         self.metrics.increment("engine.warmups")
         return timings
 
@@ -711,20 +657,6 @@ class SkylineQueryEngine:
                 run_pairs = list(miss_positions)
                 snapshot = self._original_snapshot()
                 generation = self._generation
-                landmarks = self._original_landmarks
-                bounds = None
-                if self.bound_provider == "pareto_prep":
-                    from repro.accel.bounds import ParetoPrepBounds
-
-                    bounds = [
-                        ParetoPrepBounds(snapshot, [target])
-                        for _, target in run_pairs
-                    ]
-                elif landmarks is not None and self.bound_provider != "exact":
-                    bounds = [
-                        LandmarkLowerBounds(landmarks, [target])
-                        for _, target in run_pairs
-                    ]
                 started = time.perf_counter()
                 with tracer.span(
                     "serve.fused_batch", queries=len(run_pairs)
@@ -733,7 +665,6 @@ class SkylineQueryEngine:
                         self._graph,
                         snapshot,
                         run_pairs,
-                        bounds=bounds,
                         time_budget=budget,
                     )
                 per_query = (
@@ -776,7 +707,7 @@ class SkylineQueryEngine:
         started = time.perf_counter()
         outcome = skyline_paths(
             self._graph, source, target,
-            bounds=self._bounds_for(target), time_budget=budget,
+            time_budget=budget,
             tracer=tracer,
             snapshot=self._original_snapshot(),
         )
@@ -824,7 +755,6 @@ class SkylineQueryEngine:
             self._graph,
             source,
             target,
-            bounds=self._bounds_for(target),
             time_budget=remaining,
             tracer=tracer,
             snapshot=self._original_snapshot(),
@@ -1020,7 +950,6 @@ class SkylineQueryEngine:
         """Manually retire every cached result (e.g. after editing the
         graph outside a maintainer)."""
         self._generation += 1
-        self._original_landmarks = None
         self._csr_original = None
         removed = self.cache.invalidate_generations_below(self._generation)
         self._corridors.invalidate_generations_below(self._generation)
@@ -1040,7 +969,6 @@ class SkylineQueryEngine:
         self._index = self._maintainer.index
         self._graph = self._maintainer.graph
         self._generation = generation
-        self._original_landmarks = None  # distances may have changed
         self._csr_original = None  # topology/costs may have changed
         removed = self.cache.invalidate_generations_below(generation)
         self._corridors.invalidate_generations_below(generation)
@@ -1075,7 +1003,6 @@ class SkylineQueryEngine:
         doc["cache"] = self.cache.snapshot()
         doc["generation"] = self._generation
         doc["index_ready"] = self._index is not None
-        doc["landmarks_ready"] = self._original_landmarks is not None
         doc["csr_ready"] = self._csr_original is not None
         doc["graph_nodes"] = self._graph.num_nodes
         return doc
@@ -1090,7 +1017,6 @@ class SkylineQueryEngine:
         return {
             "generation": self._generation,
             "index_ready": self._index is not None,
-            "landmarks_ready": self._original_landmarks is not None,
             "csr_ready": self._csr_original is not None,
             "graph_nodes": self._graph.num_nodes,
             "queries_total": self.metrics.counter("engine.queries").value,

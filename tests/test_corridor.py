@@ -170,6 +170,45 @@ class TestRestrictedSearch:
                 == flat.stats.pruned_by_corridor
             )
 
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_corridor_bounds_keep_answers_and_never_expand_more(
+        self, network, index, radius
+    ):
+        """Default bounds of a restricted search are reverse Dijkstra
+        inside the corridor: the answer paths equal a run's with
+        full-graph exact bounds, and the tighter bounds never expand
+        more."""
+        from repro.accel.csr import CSRSnapshot
+        from repro.search.bounds import ExactBounds
+
+        snapshot = CSRSnapshot.from_graph(network)
+        tighter = 0
+        for offset in range(6):
+            s, t = pair(network, offset)
+            corridor = build_corridor(index, s, t, radius=radius)
+            kwargs = dict(
+                restrict_to=corridor,
+                seed_with_shortest_paths=False,
+                seed_paths=corridor.seed_paths,
+                snapshot=snapshot,
+            )
+            masked = skyline_paths(network, s, t, **kwargs)
+            full = skyline_paths(
+                network, s, t, bounds=ExactBounds(network, [t]), **kwargs
+            )
+            # Same paths.  A corridor seed path's cost (summed by the
+            # backbone) may differ from the searched cost of the same
+            # walk in the last ulp, so costs compare approximately.
+            masked_costs = {p.nodes: p.cost for p in masked.paths}
+            full_costs = {p.nodes: p.cost for p in full.paths}
+            assert masked_costs.keys() == full_costs.keys()
+            for nodes, cost in masked_costs.items():
+                assert cost == pytest.approx(full_costs[nodes], rel=1e-12)
+            assert masked.stats.expansions <= full.stats.expansions
+            tighter += masked.stats.expansions < full.stats.expansions
+        if radius == 0:
+            assert tighter, "a radius-0 corridor should tighten some bound"
+
     def test_corridor_pruning_is_counted(self, network, index):
         s, t = pair(network)
         corridor = build_corridor(index, s, t, radius=0)

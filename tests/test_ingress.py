@@ -86,3 +86,95 @@ def test_zero_budget_still_truncates(engine):
         source, target, mode="exact", time_budget=0.0, use_cache=False
     )
     assert response.truncated
+
+
+# ----------------------------------------------------------------------
+# CSR ingress: mp attach / raw packs (from_buffers) and the RBIX CSR
+# section (from_payload) share one value check
+# ----------------------------------------------------------------------
+
+
+CSR_CASES = [
+    "nan_cost",
+    "inf_cost",
+    "negative_cost",
+    "index_negative",
+    "index_past_end",
+    "indptr_not_from_zero",
+    "indptr_decreasing",
+]
+
+
+def _bad_csr(case: str, directed: bool):
+    """``(meta, buffers)`` of a small snapshot with one corrupted value
+    in a copy of its forward arrays."""
+    import numpy as np
+
+    from repro.accel.csr import CSRSnapshot
+
+    graph = MultiCostGraph(2, directed=directed)
+    for u, v in ((0, 1), (1, 2), (2, 3), (3, 0), (1, 3)):
+        graph.add_edge(u, v, (1.0 + u, 2.0 + v))
+    meta, buffers = CSRSnapshot.from_graph(graph).export_buffers()
+    arrays = {name: np.array(array) for name, array in buffers.items()}
+    costs, indices = arrays["costs"], arrays["indices"]
+    indptr = arrays["indptr"]
+    if case == "nan_cost":
+        costs[0, 0] = math.nan
+    elif case == "inf_cost":
+        costs[1, 1] = math.inf
+    elif case == "negative_cost":
+        costs[0, 1] = -0.5
+    elif case == "index_negative":
+        indices[0] = -1
+    elif case == "index_past_end":
+        indices[1] = len(indptr) - 1
+    elif case == "indptr_not_from_zero":
+        indptr[0] = 1
+    else:
+        indptr[1] = indptr[2] + 1
+    return meta, arrays
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("case", CSR_CASES)
+def test_csr_from_buffers_rejects_bad_values(case, directed):
+    from repro.accel.csr import CSRSnapshot
+    from repro.errors import BuildError
+
+    with pytest.raises(BuildError):
+        CSRSnapshot.from_buffers(*_bad_csr(case, directed))
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("case", CSR_CASES)
+def test_csr_from_payload_rejects_bad_values(case, directed):
+    from repro.accel.csr import CSRSnapshot
+    from repro.errors import BuildError
+
+    meta, arrays = _bad_csr(case, directed)
+    if not directed:
+        for name in ("indptr", "indices", "costs"):
+            arrays["rev_" + name] = arrays[name]
+    # The plain constructor trusts its arrays, so it can encode a
+    # payload no valid snapshot would produce.
+    payload = CSRSnapshot(**meta, **arrays).to_payload()
+    with pytest.raises(BuildError):
+        CSRSnapshot.from_payload(payload)
+
+
+def test_csr_reverse_arrays_are_checked_too():
+    import numpy as np
+
+    from repro.accel.csr import CSRSnapshot
+    from repro.errors import BuildError
+
+    graph = MultiCostGraph(2, directed=True)
+    graph.add_edge(0, 1, (1.0, 1.0))
+    graph.add_edge(1, 2, (1.0, 1.0))
+    meta, buffers = CSRSnapshot.from_graph(graph).export_buffers()
+    arrays = {name: np.array(array) for name, array in buffers.items()}
+    arrays["rev_costs"][0, 0] = math.nan
+    with pytest.raises(BuildError, match="reverse CSR"):
+        CSRSnapshot.from_buffers(meta, arrays)
+    CSRSnapshot.from_buffers(meta, dict(buffers))  # the clean pack attaches

@@ -299,7 +299,7 @@ class TestCorridorMode:
             corridor_radius=4, quality_target=0.8,
         ) as server:
             engine = build_worker_engine(
-                network, index, None, None, 0, server._config
+                network, index, None, 0, server._config
             )
             assert engine.corridor_radius == 4
             assert engine.quality_target == 0.8

@@ -1,4 +1,4 @@
-"""Flat one-to-all kernel parity and ParetoPrep bound admissibility.
+"""Flat one-to-all kernel parity and exact bound-matrix admissibility.
 
 The one-to-all kernel carries the same contract as the point-to-point
 kernels: it is bit-identical to the reference search of
@@ -8,12 +8,12 @@ randomized multigraphs (parallel edges, sparse node ids, both
 directedness modes) and through the ``targets`` / ``max_frontier``
 narrowing options.
 
-``pareto_prep_bound_matrix`` computes every dimension's lower bound in
-one backward pass; its admissibility contract is checked against the
-true skyline costs (never above any reachable path's cost, per
-dimension) and against the landmark ALT bound (never below it — the
-one-pass bounds are *exact* per-dimension distances, the tightest
-admissible bound there is).
+``exact_bound_matrix`` is the bound of every served exact search: it
+must equal :class:`~repro.search.bounds.ExactBounds` bit for bit (also
+confined to a node mask, as the corridor tier runs it), never exceed a
+reachable path's cost per dimension, and never fall below the landmark
+ALT bound — exact per-dimension distances are the tightest admissible
+bound there is.
 """
 
 from __future__ import annotations
@@ -25,13 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel.bounds import (
-    ParetoPrepBounds,
-    exact_bound_matrix,
-    landmark_bound_matrix,
-    materialize_bound_matrix,
-    pareto_prep_bound_matrix,
-)
+from repro.accel.bounds import exact_bound_matrix, landmark_bound_matrix
 from repro.accel.csr import CSRSnapshot
 from repro.errors import NodeNotFoundError
 from repro.graph.mcrn import MultiCostGraph
@@ -133,20 +127,69 @@ class TestFlatOneToAllParity:
             one_to_all_skyline(graph, 10_001, snapshot=snapshot)
 
 
-class TestParetoPrepBounds:
+def zero_cost_multigraph(seed: int, directed: bool) -> MultiCostGraph:
+    """Parallel arcs and zero-cost edges (some all-zero) on sparse ids."""
+    rng = random.Random(seed)
+    dim = rng.choice((2, 3))
+    graph = MultiCostGraph(dim, directed=directed)
+    nodes = rng.sample(range(1000), rng.randint(2, 16))
+    for node in nodes:
+        graph.add_node(node)
+    for _ in range(rng.randint(0, 40)):
+        u, v = rng.sample(nodes, 2)
+        cost = tuple(float(rng.choice((0, 0, 1, 2, 5))) for _ in range(dim))
+        graph.add_edge(u, v, cost)
+        if rng.random() < 0.3:  # a parallel arc with other costs
+            other = tuple(float(rng.randint(0, 9)) for _ in range(dim))
+            graph.add_edge(u, v, other)
+    return graph
+
+
+class TestExactBoundMatrix:
+    """The bound matrix every served exact search prunes with."""
+
+    @pytest.mark.parametrize("directed", [False, True])
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
-    def test_matches_exact_matrix_bit_for_bit(self, seed):
-        graph = random_multigraph(seed)
+    def test_matches_exact_bounds_bit_for_bit(self, seed, directed):
+        graph = zero_cost_multigraph(seed, directed)
         snapshot = CSRSnapshot.from_graph(graph)
         rng = random.Random(seed + 2)
         nodes = sorted(graph.nodes())
         targets = rng.sample(nodes, min(len(nodes), 2))
-        dense = [snapshot.dense_of(t) for t in targets]
-        assert np.array_equal(
-            pareto_prep_bound_matrix(snapshot, dense),
-            exact_bound_matrix(snapshot, dense),
+        for chosen in ([targets[0]], targets):
+            matrix = exact_bound_matrix(
+                snapshot, [snapshot.dense_of(t) for t in chosen]
+            )
+            provider = ExactBounds(graph, chosen)
+            for node in nodes:
+                row = tuple(matrix[snapshot.dense_of(node)].tolist())
+                assert row == provider.bound(node)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_masked_matrix_matches_restricted_exact_bounds(
+        self, seed, directed
+    ):
+        graph = zero_cost_multigraph(seed, directed)
+        snapshot = CSRSnapshot.from_graph(graph)
+        rng = random.Random(seed + 3)
+        nodes = sorted(graph.nodes())
+        target = rng.choice(nodes)
+        within = set(rng.sample(nodes, rng.randint(1, len(nodes))))
+        masked = exact_bound_matrix(
+            snapshot,
+            [snapshot.dense_of(target)],
+            node_mask=snapshot.node_mask(within),
         )
+        full = exact_bound_matrix(snapshot, [snapshot.dense_of(target)])
+        provider = ExactBounds(graph, [target], within=within)
+        for node in nodes:
+            row = masked[snapshot.dense_of(node)]
+            assert tuple(row.tolist()) == provider.bound(node)
+            # Confining the reverse search only ever raises a bound.
+            assert bool(np.all(row >= full[snapshot.dense_of(node)]))
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -162,9 +205,7 @@ class TestParetoPrepBounds:
         snapshot = CSRSnapshot.from_graph(graph)
         nodes = sorted(graph.nodes())
         target = nodes[seed % len(nodes)]
-        matrix = pareto_prep_bound_matrix(
-            snapshot, [snapshot.dense_of(target)]
-        )
+        matrix = exact_bound_matrix(snapshot, [snapshot.dense_of(target)])
         for node, paths in one_to_all_skyline(graph, target).items():
             row = matrix[snapshot.dense_of(node)]
             for path in paths:
@@ -184,24 +225,6 @@ class TestParetoPrepBounds:
         dense = [snapshot.dense_of(t) for t in targets]
         landmarks = LandmarkIndex(graph, min(3, graph.num_nodes), csr=snapshot)
         alt = landmark_bound_matrix(landmarks, snapshot, dense)
-        prep = pareto_prep_bound_matrix(snapshot, dense)
+        exact = exact_bound_matrix(snapshot, dense)
         # Exact distances dominate any admissible ALT bound.
-        assert bool(np.all(prep >= alt - 1e-9))
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=25, deadline=None)
-    def test_provider_probes_match_exact_bounds(self, seed):
-        graph = random_multigraph(seed)
-        snapshot = CSRSnapshot.from_graph(graph)
-        rng = random.Random(seed + 4)
-        nodes = sorted(graph.nodes())
-        targets = rng.sample(nodes, min(len(nodes), 2))
-        provider = ParetoPrepBounds(snapshot, targets)
-        exact = ExactBounds(graph, targets)
-        for node in nodes:
-            assert provider.bound(node) == exact.bound(node)
-        # materialize_bound_matrix hands the precomputed matrix over
-        # without recomputation for the snapshot it was built on.
-        assert materialize_bound_matrix(provider, snapshot) is (
-            provider.matrix_for(snapshot)
-        )
+        assert bool(np.all(exact >= alt - 1e-9))

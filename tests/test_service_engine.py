@@ -203,8 +203,12 @@ class TestWarmState:
         assert set(timings) == {
             "index_seconds", "csr_seconds", "landmark_seconds"
         }
+        # Exact queries bound over the CSR snapshot: warm() builds no
+        # original-graph landmarks.
+        assert timings["landmark_seconds"] == 0.0
         snapshot = engine.metrics_snapshot()
-        assert snapshot["index_ready"] and snapshot["landmarks_ready"]
+        assert snapshot["index_ready"] and snapshot["csr_ready"]
+        assert "landmarks_ready" not in snapshot
 
     def test_warm_bounds_do_not_change_exact_answers(self, network, index):
         s, t = pair(network, 4)
@@ -395,3 +399,75 @@ class TestCorridorPlanner:
         served = engine.query(s, t, time_budget=1.0)
         assert served.mode == "corridor"
         assert served.paths
+
+
+class TestExactBoundsServing:
+    """Every exact tier bounds over the current generation's CSR
+    snapshot: no original-graph landmarks are built, and after a
+    maintenance update the answers follow the repaired graph."""
+
+    def test_answers_follow_updates_without_landmarks(self, monkeypatch):
+        from repro.approx.corridor import build_corridor
+        from repro.core.maintenance import MaintainableIndex
+        from repro.obs import Tracer, use_tracer
+        from repro.qa import reference
+        from repro.qa.invariants import answer_set_errors
+        from repro.service import engine as engine_module
+
+        monkeypatch.setattr(engine_module, "FUSE_NODE_CROSSOVER", 0)
+        maintainer = MaintainableIndex(
+            road_network(200, dim=2, seed=31), PARAMS
+        )
+        engine = SkylineQueryEngine(
+            maintainer=maintainer, params=PARAMS, exact_node_threshold=0
+        )
+        nodes = sorted(maintainer.graph.nodes())
+        pairs = [(nodes[i], nodes[-(i + 1)]) for i in range(3)]
+        tracer = Tracer()
+        with use_tracer(tracer):
+            engine.warm()
+            before = engine.query(*pairs[0], mode="exact")
+
+        # Make the first skyline path's first edge 5x dearer.
+        u, v = before.paths[0].nodes[:2]
+        old_cost = maintainer.graph.edge_costs(u, v)[0]
+        maintainer.update_edge_cost(
+            u, v, old_cost, tuple(5 * c for c in old_cost)
+        )
+        graph = maintainer.graph
+        assert engine.generation == 1
+
+        with use_tracer(tracer):
+            for s, t in pairs:
+                exact = engine.query(s, t, mode="exact")
+                ref = reference.skyline_paths(graph, s, t)
+                assert [(p.nodes, p.cost) for p in exact.paths] == [
+                    (p.nodes, p.cost) for p in ref.paths
+                ]
+                corridor = build_corridor(
+                    maintainer.index, s, t,
+                    radius=engine.corridor_radius, generation=1,
+                )
+                ref_corridor = reference.skyline_paths(
+                    graph, s, t,
+                    restrict_to=corridor,
+                    seed_with_shortest_paths=False,
+                    seed_paths=corridor.seed_paths,
+                )
+                served = engine.query(s, t, mode="corridor")
+                assert sorted((p.cost, p.nodes) for p in served.paths) == (
+                    sorted((p.cost, p.nodes) for p in ref_corridor.paths)
+                )
+            fused = engine.query_batch_fused(pairs, use_cache=False)
+        assert engine.metrics.counter("engine.fused_batches").value == 1
+        for (s, t), response in zip(pairs, fused):
+            ref = reference.skyline_paths(graph, s, t).paths
+            assert not answer_set_errors(
+                "fused", response.paths, "reference", ref, graph
+            )
+
+        names = {
+            span.name for root in tracer.roots() for span, _ in root.walk()
+        }
+        assert "search.bbs" in names and "serve.fused_batch" in names
+        assert not any(name.startswith("landmark.") for name in names)
