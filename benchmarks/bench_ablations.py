@@ -10,7 +10,6 @@ experimentally; these ablations do, on the scaled C9_NY_15K stand-in:
 * **A3 — label scope** (Section 4.3.1): label searches over removed
   edges only vs the full cluster subgraph.  The paper claims the
   restriction "speeds up the query process" at construction time.
-* **A4 — landmark count** for m_BBS pruning on G_L.
 
 Each ablation reports build time, index size, and workload quality.
 """
@@ -64,8 +63,6 @@ def ablation_data(ny_large):
         "A3 labels=full cluster": replace(
             base, label_scope=LabelScope.FULL_CLUSTER
         ),
-        "A4 landmarks=1": replace(base, landmark_count=1),
-        "A4 landmarks=16": replace(base, landmark_count=16),
     }
     data = {
         name: _measure(ny_large, params, queries, exact)

@@ -62,7 +62,6 @@ def _params_from(args: argparse.Namespace) -> BackboneParams:
         p_ind=args.p_ind,
         aggressive=AggressiveMode(args.variant),
         clustering=ClusteringStrategy(args.clustering),
-        landmark_count=args.landmarks,
     )
 
 
@@ -82,8 +81,6 @@ def _add_param_options(parser: argparse.ArgumentParser) -> None:
                         choices=[c.value for c in ClusteringStrategy],
                         default="dense",
                         help="local-unit discovery (default dense)")
-    parser.add_argument("--landmarks", type=int, default=8,
-                        help="landmark count over G_L (default 8)")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -108,11 +105,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_build(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     started = time.perf_counter()
-    index = build_backbone_index(
-        graph,
-        _params_from(args),
-        build_workers=args.build_workers,
-    )
+    index = build_backbone_index(graph, _params_from(args))
     elapsed = time.perf_counter() - started
     index.save(args.out, format=args.format)
     stats = index.stats()
@@ -717,8 +710,7 @@ def cmd_index_load(args: argparse.Namespace) -> int:
     lazy_note = " (lazy: label levels deferred)" if args.lazy else ""
     print(
         f"loaded index in {fmt_seconds(elapsed)}{lazy_note}: "
-        f"L={stats['height']}, |G_L.V|={stats['top_graph_nodes']}, "
-        f"{len(index.landmarks.landmarks)} landmarks restored"
+        f"L={stats['height']}, |G_L.V|={stats['top_graph_nodes']}"
     )
     return 0
 
@@ -745,7 +737,6 @@ def cmd_index_inspect(args: argparse.Namespace) -> int:
                 "levels": len(document.get("levels", [])),
                 "file_bytes": FilePath(args.index).stat().st_size,
                 "params": document.get("params"),
-                "landmarks_persisted": "landmarks" in document,
             },
             indent=2,
         )
@@ -1213,11 +1204,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="binary store (default) or legacy JSON")
     build.add_argument("--verify", action="store_true",
                        help="run structural self-validation after building")
-    build.add_argument("--build-workers", type=int, default=1,
-                       dest="build_workers",
-                       help="label-construction processes; >1 fans "
-                            "independent clusters over a forked pool "
-                            "(default 1)")
     _add_param_options(build)
     build.set_defaults(handler=cmd_build)
 

@@ -11,9 +11,8 @@ The builder repeatedly summarizes the working graph level by level:
    their labels fold into the level's index.
 
 The level loop ends when a level cannot remove the required edge share
-(or would empty the graph — that level's last round is rolled back),
-after which a landmark index is built over the final most-abstracted
-graph G_L.
+(or would empty the graph — that level's last round is rolled back);
+the remaining graph is the most abstracted graph G_L.
 
 The loop core is exposed as :func:`summarize_levels` so index
 maintenance (:mod:`repro.core.maintenance`) can replay construction
@@ -33,7 +32,6 @@ from repro.core.summarize import condense_round
 from repro.errors import BuildError
 from repro.graph.mcrn import MultiCostGraph
 from repro.obs.tracer import Tracer, resolve_tracer
-from repro.search.landmark import LandmarkIndex
 
 # A level may loop condensing rounds only so many times before we call
 # it stalled; each round shrinks the graph, so this is a safety valve.
@@ -89,7 +87,6 @@ def summarize_levels(
     level_offset: int = 0,
     keep_snapshots: bool = False,
     tracer: Tracer | None = None,
-    label_pool=None,
 ) -> SummarizationOutcome:
     """Run Algorithm 2's level loop, mutating ``work`` in place.
 
@@ -97,10 +94,7 @@ def summarize_levels(
     network; ``level_offset`` only affects reported level numbers (a
     maintenance replay starts mid-index).  An enabled ``tracer`` emits
     one ``build.level`` span per constructed level, with nested spans
-    for condensing rounds and segment materialization.  ``label_pool``
-    optionally runs label tasks in parallel (see
-    :func:`repro.core.summarize.condense_round`); the index is the same
-    either way.
+    for condensing rounds and segment materialization.
     """
     outcome = SummarizationOutcome()
     tracer = resolve_tracer(tracer)
@@ -135,12 +129,7 @@ def summarize_levels(
                     (node, work.coord(node)) for node in work.nodes()
                 ]
                 with tracer.span("build.condense_round") as round_span:
-                    round_result = condense_round(
-                        work,
-                        params,
-                        tracer=tracer,
-                        label_pool=label_pool,
-                    )
+                    round_result = condense_round(work, params, tracer=tracer)
                     if round_span.enabled:
                         round_span.set(
                             removed_edges=round_result.removed_edge_count,
@@ -234,7 +223,6 @@ def build_backbone_index(
     params: BackboneParams | None = None,
     *,
     tracer: Tracer | None = None,
-    build_workers: int = 1,
 ) -> BackboneIndex:
     """Build the backbone index of a multi-cost road network.
 
@@ -249,12 +237,7 @@ def build_backbone_index(
     tracer:
         Observability hook; defaults to the process-wide tracer.  When
         enabled, construction emits a ``build.index`` span tree (one
-        ``build.level`` child per level, plus landmark construction).
-    build_workers:
-        Number of label-construction processes.  With ``N > 1``
-        independent clusters' labels build in parallel on a forked
-        worker pool; results merge in cluster order, so the index is
-        identical to the single-process build.
+        ``build.level`` child per level).
     """
     if params is None:
         params = BackboneParams()
@@ -265,59 +248,41 @@ def build_backbone_index(
             "build_backbone_index expects an undirected network; model "
             "directed roads as undirected edges per the paper's Section 3"
         )
-    if build_workers < 1:
-        raise BuildError(f"build_workers must be >= 1, got {build_workers}")
 
     started = time.perf_counter()
     tracer = resolve_tracer(tracer)
-    label_pool = None
-    if build_workers > 1:
-        from repro.mp.build_pool import BuildLabelPool
-
-        label_pool = BuildLabelPool(build_workers)
-    try:
-        with tracer.span(
-            "build.index", nodes=graph.num_nodes, edges=graph.num_edges
-        ) as build_span:
-            work = graph.copy()
-            outcome = summarize_levels(
-                work, params, required_edge_removals(graph, params),
-                tracer=tracer, label_pool=label_pool,
+    with tracer.span(
+        "build.index", nodes=graph.num_nodes, edges=graph.num_edges
+    ) as build_span:
+        work = graph.copy()
+        outcome = summarize_levels(
+            work, params, required_edge_removals(graph, params), tracer=tracer
+        )
+        top_graph = outcome.final_graph
+        assert top_graph is not None
+        if top_graph.num_nodes == 0:
+            raise BuildError(
+                "summarization emptied the graph; this indicates an "
+                "internal rollback failure"
             )
-            top_graph = outcome.final_graph
-            assert top_graph is not None
-            if top_graph.num_nodes == 0:
-                raise BuildError(
-                    "summarization emptied the graph; this indicates an "
-                    "internal rollback failure"
-                )
 
-            provenance: dict[ShortcutKey, tuple[int, ...]] = {}
-            for per_level in outcome.level_provenance:
-                provenance.update(per_level)
-            landmarks = LandmarkIndex(
-                top_graph,
-                min(params.landmark_count, top_graph.num_nodes),
-                tracer=tracer,
+        provenance: dict[ShortcutKey, tuple[int, ...]] = {}
+        for per_level in outcome.level_provenance:
+            provenance.update(per_level)
+        stats = BuildStats(levels=outcome.level_stats)
+        stats.elapsed_seconds = time.perf_counter() - started
+        if build_span.enabled:
+            build_span.set(
+                levels=len(outcome.levels),
+                top_graph_nodes=top_graph.num_nodes,
+                label_paths=sum(s.label_paths for s in outcome.level_stats),
             )
-            stats = BuildStats(levels=outcome.level_stats)
-            stats.elapsed_seconds = time.perf_counter() - started
-            if build_span.enabled:
-                build_span.set(
-                    levels=len(outcome.levels),
-                    top_graph_nodes=top_graph.num_nodes,
-                    label_paths=sum(s.label_paths for s in outcome.level_stats),
-                )
-    finally:
-        if label_pool is not None:
-            label_pool.close()
 
     return BackboneIndex(
         original_graph=graph,
         params=params,
         levels=outcome.levels,
         top_graph=top_graph,
-        landmarks=landmarks,
         provenance=provenance,
         build_stats=stats,
     )

@@ -1,9 +1,9 @@
 """The backbone index container (Definition 4.8).
 
 A built index holds the per-level label structures (0, I_0) ... (L-1,
-I_{L-1}), the most abstracted graph G_L, a landmark index over G_L, and
-the shortcut provenance needed to expand abstract paths back toward the
-original network.  Construction lives in :mod:`repro.core.builder`;
+I_{L-1}), the most abstracted graph G_L, and the shortcut provenance
+needed to expand abstract paths back toward the original network.
+Construction lives in :mod:`repro.core.builder`;
 query evaluation in :mod:`repro.core.query`.
 """
 
@@ -20,7 +20,6 @@ from repro.errors import BuildError
 from repro.graph.mcrn import MultiCostGraph
 from repro.paths.dominance import CostVector
 from repro.paths.path import Path
-from repro.search.landmark import LandmarkIndex
 
 ShortcutKey = tuple[int, int, CostVector]
 
@@ -81,7 +80,6 @@ class BackboneIndex:
         params: BackboneParams,
         levels: list[LevelIndex],
         top_graph: MultiCostGraph,
-        landmarks: LandmarkIndex,
         provenance: dict[ShortcutKey, tuple[int, ...]],
         build_stats: BuildStats,
     ) -> None:
@@ -89,7 +87,6 @@ class BackboneIndex:
         self.params = params
         self.levels = levels
         self.top_graph = top_graph
-        self.landmarks = landmarks
         self.provenance = provenance
         self.build_stats = build_stats
         # (u, v) -> list of recorded underlying sequences, for expansion
@@ -161,8 +158,8 @@ class BackboneIndex:
     def estimated_size_bytes(self) -> int:
         """Estimated in-memory footprint of the index payload.
 
-        Counts label path nodes and costs, the top graph, landmark
-        entries, and provenance sequences at boxed-object sizes
+        Counts label path nodes and costs, the top graph, and
+        provenance sequences at boxed-object sizes
         (``sys.getsizeof``) — an upper-bound estimate of what the live
         Python structures occupy, kept for comparison with the
         measured :meth:`size_bytes`.
@@ -183,7 +180,6 @@ class BackboneIndex:
         total += self.top_graph.num_edge_entries * (
             2 * int_size + self.dim * float_size
         )
-        total += self.landmarks.size_entries() * float_size
         for sequence in self.provenance.values():
             total += len(sequence) * int_size
         return total
@@ -325,10 +321,8 @@ class BackboneIndex:
         """Persist the index.
 
         ``format="binary"`` (default) writes the compact, checksummed
-        :mod:`repro.store` format — including the landmark tables, so
-        loading restores bit-identical bounds without rebuilding.
-        ``format="json"`` writes the legacy verbose JSON document.
-        Both writes are atomic (tmp file + ``os.replace``).
+        :mod:`repro.store` format; ``format="json"`` writes the legacy
+        verbose JSON document.  Both writes are atomic (tmp file + ``os.replace``).
         """
         if format == "binary":
             from repro.store.writer import save_index
@@ -350,7 +344,6 @@ class BackboneIndex:
                 "p_ind": self.params.p_ind,
                 "aggressive": self.params.aggressive.value,
                 "clustering": self.params.clustering.value,
-                "landmark_count": self.params.landmark_count,
             },
             "levels": [
                 {
@@ -375,16 +368,6 @@ class BackboneIndex:
                 {"u": u, "v": v, "cost": list(cost), "seq": list(sequence)}
                 for (u, v, cost), sequence in self.provenance.items()
             ],
-            "landmarks": {
-                "nodes": self.landmarks.landmarks,
-                "tables": [
-                    [
-                        [[node, dist] for node, dist in table.items()]
-                        for table in per_landmark
-                    ]
-                    for per_landmark in self.landmarks.distance_tables()
-                ],
-            },
         }
         from repro.store.writer import atomic_write_bytes
 
@@ -427,7 +410,6 @@ class BackboneIndex:
             p_ind=raw["p_ind"],
             aggressive=AggressiveMode(raw["aggressive"]),
             clustering=ClusteringStrategy(raw["clustering"]),
-            landmark_count=raw["landmark_count"],
         )
         levels: list[LevelIndex] = []
         for level_doc in document["levels"]:
@@ -452,32 +434,11 @@ class BackboneIndex:
             (entry["u"], entry["v"], tuple(entry["cost"])): tuple(entry["seq"])
             for entry in document["provenance"]
         }
-        stored_landmarks = document.get("landmarks")
-        if stored_landmarks is not None:
-            landmarks = LandmarkIndex.from_tables(
-                document["dim"],
-                stored_landmarks["nodes"],
-                [
-                    [
-                        {int(node): float(dist) for node, dist in table}
-                        for table in per_landmark
-                    ]
-                    for per_landmark in stored_landmarks["tables"]
-                ],
-            )
-        else:
-            # Version-1 documents predate landmark persistence; rebuild
-            # the tables from G_L (the legacy Dijkstra-per-landmark cost).
-            landmarks = LandmarkIndex(
-                top_graph,
-                min(params.landmark_count, max(top_graph.num_nodes, 1)),
-            )
         return cls(
             original_graph=original_graph,
             params=params,
             levels=levels,
             top_graph=top_graph,
-            landmarks=landmarks,
             provenance=provenance,
             build_stats=BuildStats(),
         )

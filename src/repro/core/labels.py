@@ -135,9 +135,7 @@ class LabelTask:
 
     Pure in its arguments: the costed removed edges are captured before
     the level graph mutates, so a task can run any time after its
-    cluster condensed — serially, or on a
-    :class:`repro.mp.build_pool.BuildLabelPool` worker (the payload
-    pickles cleanly).  Executing tasks in cluster order reproduces the
+    cluster condensed.  Executing tasks in cluster order reproduces the
     inline construction path for path.
     """
 

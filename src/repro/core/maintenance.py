@@ -31,7 +31,6 @@ from repro.core.params import BackboneParams
 from repro.errors import EdgeNotFoundError, GraphError, NodeNotFoundError
 from repro.graph.mcrn import MultiCostGraph
 from repro.paths.path import Path
-from repro.search.landmark import LandmarkIndex
 
 
 def _path_uses_edge(path: Path, edge: tuple[int, int]) -> bool:
@@ -324,15 +323,11 @@ class MaintainableIndex:
         for per_level in outcome.level_provenance:
             provenance.update(per_level)
 
-        landmarks = LandmarkIndex(
-            top_graph, min(params.landmark_count, max(top_graph.num_nodes, 1))
-        )
         self._index = BackboneIndex(
             original_graph=self._graph,
             params=params,
             levels=kept_levels + outcome.levels,
             top_graph=top_graph,
-            landmarks=landmarks,
             provenance=provenance,
             build_stats=BuildStats(levels=kept_stats + outcome.level_stats),
         )

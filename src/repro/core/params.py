@@ -87,8 +87,6 @@ class BackboneParams:
     label_scope:
         Edges available to label searches (paper: removed edges only;
         ablation: the whole cluster subgraph).
-    landmark_count:
-        Landmarks built over the most abstracted graph G_L.
     max_levels:
         Safety cap on index height.
     max_label_frontier:
@@ -104,7 +102,6 @@ class BackboneParams:
     clustering: ClusteringStrategy = ClusteringStrategy.DENSE
     tree_policy: TreePolicy = TreePolicy.DEGREE_PAIR
     label_scope: LabelScope = LabelScope.REMOVED_EDGES
-    landmark_count: int = 8
     max_levels: int = 64
     max_label_frontier: int | None = field(default=None)
 
@@ -121,10 +118,6 @@ class BackboneParams:
             raise BuildError(f"p must lie in (0, 1), got {self.p}")
         if not 0.0 <= self.p_ind < 1.0:
             raise BuildError(f"p_ind must lie in [0, 1), got {self.p_ind}")
-        if self.landmark_count < 1:
-            raise BuildError(
-                f"landmark_count must be >= 1, got {self.landmark_count}"
-            )
         if self.max_levels < 1:
             raise BuildError(f"max_levels must be >= 1, got {self.max_levels}")
         if self.max_label_frontier is not None and self.max_label_frontier < 1:

@@ -11,7 +11,12 @@ phases:
    (the paper's first type of backbone paths).
 3. **m_BBS on G_L** — partial paths that survive into the most
    abstracted graph are connected by one many-to-many skyline search
-   with landmark lower bounds (the second type).
+   (the second type).  The paper prunes this search with lower
+   bounds precomputed over G_L; here it runs without a bound.  This
+   m_BBS has no result-dominance test (it keeps expanding through
+   reached targets), so a finite lower bound only reorders its heap
+   and never prunes a label, and the paper's precomputed bounds are
+   always finite.  The index therefore stores no bound tables.
 
 All candidate paths pass through one shared result skyline, so the
 returned set is mutually non-dominated.
@@ -29,7 +34,6 @@ from repro.obs.tracer import Tracer, resolve_tracer
 from repro.paths.frontier import PathSet
 from repro.paths.path import Path
 from repro.search.bbs import SearchStats
-from repro.search.bounds import LandmarkLowerBounds
 from repro.search.mbbs import Seed, many_to_many_skyline
 from repro.search.onetoall import one_to_all_skyline
 
@@ -169,12 +173,11 @@ def _connect_through_top(
         for node in source_possible
         for prefix in source_map[node]
     ]
-    bounds = LandmarkLowerBounds(index.landmarks, target_possible)
+    # No bound: see the module docstring (phase 3).
     outcome = many_to_many_skyline(
         top,
         seeds,
         target_possible,
-        bounds=bounds,
         time_budget=remaining,
         tracer=tracer,
         snapshot=index.csr_top(tracer=tracer),

@@ -169,7 +169,6 @@ def condense_round(
     params: BackboneParams,
     *,
     tracer: Tracer | None = None,
-    label_pool=None,
 ) -> RoundResult:
     """One full condensing round: strip degree-1, then condense clusters.
 
@@ -179,11 +178,9 @@ def condense_round(
 
     Condensing decisions run first, collecting one pure
     :class:`LabelTask` per cluster; the tasks then execute after the
-    graph has mutated — serially (clusters' removed edges are captured
-    costed, so nothing depends on the live graph), or on ``label_pool``
-    (a :class:`repro.mp.build_pool.BuildLabelPool`), whose results
-    merge in task order and therefore reproduce the serial construction
-    exactly.  Coefficient tables come from one pass, cluster edges from
+    graph has mutated, in cluster order (clusters' removed edges are
+    captured costed, so nothing depends on the live graph).
+    Coefficient tables come from one pass, cluster edges from
     cluster-local scans, labels from the CSR one-to-all kernel, and
     round labels merge by steal — all decision- and label-identical to
     the scalar reference build (:mod:`repro.qa.reference`).
@@ -257,10 +254,7 @@ def condense_round(
             cluster_result.removed_nodes |= condensed.removed_nodes
             cluster_result.removed_edges.extend(costed)
 
-        if label_pool is not None and len(tasks) > 1:
-            all_rows = label_pool.run(tasks)
-        else:
-            all_rows = [run_label_task(task) for task in tasks]
+        all_rows = [run_label_task(task) for task in tasks]
         for rows in all_rows:
             record_label_rows(cluster_result.index, rows)
 

@@ -16,9 +16,7 @@ Checked invariants:
 5. the top graph is non-empty, matches the index dimensionality, and
    every one of its nodes exists in the original graph;
 6. every shortcut provenance sequence expands (recursively) to original
-   edges, and its endpoints match its key;
-7. landmark lower bounds between sampled top-graph nodes never exceed
-   the true distances (admissibility).
+   edges, and its endpoints match its key.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from dataclasses import dataclass, field
 
 from repro.core.index import BackboneIndex
 from repro.paths.dominance import dominates
-from repro.search.dijkstra import shortest_costs
 
 
 @dataclass
@@ -51,9 +48,7 @@ class VerificationReport:
         )
 
 
-def verify_index(
-    index: BackboneIndex, *, landmark_samples: int = 10
-) -> VerificationReport:
+def verify_index(index: BackboneIndex) -> VerificationReport:
     """Check a backbone index's structural invariants.
 
     Returns a report; ``report.ok`` is True when every invariant holds.
@@ -145,21 +140,4 @@ def verify_index(
         if expanded[0] != u or expanded[-1] != v:
             problem(f"shortcut ({u}, {v}) expansion endpoints disagree")
 
-    # landmark admissibility on sampled top-graph pairs
-    sample = sorted(top_nodes)[:landmark_samples]
-    true_costs = {
-        node: [shortest_costs(index.top_graph, node, i) for i in range(dim)]
-        for node in sample[:3]
-    }
-    for source in list(true_costs)[:3]:
-        for target in sample:
-            bound = index.landmarks.lower_bound(source, target)
-            for i in range(dim):
-                true = true_costs[source][i].get(target)
-                if true is not None and bound[i] > true + 1e-6:
-                    problem(
-                        f"landmark bound {bound[i]:.6g} exceeds true "
-                        f"distance {true:.6g} for ({source}, {target}) "
-                        f"dim {i}"
-                    )
     return report

@@ -18,16 +18,10 @@ every worker:
   generation-swap protocol (maintenance publishes a new shared
   snapshot; batches route to the new cohort at batch boundaries; old
   segments are refcounted and unlinked once drained).
-* :mod:`repro.mp.build_pool` — :class:`BuildLabelPool`: a forked
-  worker pool that fans independent clusters' label construction out
-  during index builds (``build_backbone_index(build_workers=N)``),
-  merging results in cluster order so the built index is identical to
-  a single-process build.
 
 See ``docs/multiprocess.md`` for the architecture and tuning notes.
 """
 
-from repro.mp.build_pool import BuildLabelPool
 from repro.mp.dispatcher import (
     MPBatchResult,
     MPBatchServer,
@@ -37,7 +31,6 @@ from repro.mp.dispatcher import (
 from repro.mp.shm import SharedCSR, map_store_csr
 
 __all__ = [
-    "BuildLabelPool",
     "MPBatchResult",
     "MPBatchServer",
     "MPQueryError",

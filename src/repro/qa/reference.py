@@ -49,7 +49,6 @@ from repro.search.bbs import SearchStats, SkylineResult
 from repro.search.bounds import ExactBounds, LowerBoundProvider, ZeroBounds
 from repro.search.dijkstra import per_dimension_shortest_paths
 from repro.search.labels import Label, NodeFrontier
-from repro.search.landmark import LandmarkIndex
 from repro.search.mbbs import ManyToManyResult, Seed
 
 _INF = float("inf")
@@ -625,7 +624,6 @@ def build_backbone_index(
         if work.num_nodes == 0 or removed < required:
             break
 
-    landmarks = LandmarkIndex(work, min(params.landmark_count, work.num_nodes))
     stats = BuildStats(levels=level_stats)
     stats.elapsed_seconds = time.perf_counter() - started
     return BackboneIndex(
@@ -633,7 +631,6 @@ def build_backbone_index(
         params=params,
         levels=levels,
         top_graph=work,
-        landmarks=landmarks,
         provenance=provenance,
         build_stats=stats,
     )

@@ -70,7 +70,7 @@ def static_differential_problems(
     if not (graph.has_node(source) and graph.has_node(target)):
         return []
     params = params if params is not None else BackboneParams(
-        m_max=10, m_min=2, p=0.2, landmark_count=4
+        m_max=10, m_min=2, p=0.2
     )
     exact = skyline_paths(graph, source, target).paths
     index = build_backbone_index(graph, params)
@@ -189,7 +189,7 @@ EDGES = [
 {edges}
 ]
 SOURCE, TARGET = {source}, {target}
-PARAMS = BackboneParams(m_max=10, m_min=2, p=0.2, landmark_count=4)
+PARAMS = BackboneParams(m_max=10, m_min=2, p=0.2)
 
 
 def {name}():

@@ -82,7 +82,7 @@ def qa_params(spec: CaseSpec) -> BackboneParams:
     clusters and an aggressive removal quota force several index
     levels even on ~70-node networks, so every query exercises the
     full grow/grow/connect pipeline."""
-    return BackboneParams(m_max=10, m_min=2, p=0.2, landmark_count=4)
+    return BackboneParams(m_max=10, m_min=2, p=0.2)
 
 
 def build_case(spec: CaseSpec) -> QACase:

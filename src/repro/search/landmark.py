@@ -9,7 +9,11 @@ nodes::
 
 The paper builds this index over the most abstracted graph G_L and uses
 it inside BBS/m_BBS to prune partial paths whose optimistic completion
-is already dominated.
+is already dominated.  Here no index or serving path uses it: Alg. 3's
+m_BBS runs without a bound (see :mod:`repro.core.query`) and exact
+queries use exact bounds.  It remains for A*
+(:func:`repro.search.astar.landmark_heuristic`) and for the bound
+ablations that measure ALT against exact bounds.
 """
 
 from __future__ import annotations
@@ -105,50 +109,10 @@ class LandmarkIndex:
                     csr_backed=csr is not None,
                 )
 
-    @classmethod
-    def from_tables(
-        cls,
-        dim: int,
-        landmarks: Sequence[int],
-        tables: list[list[dict[int, float]]],
-    ) -> "LandmarkIndex":
-        """Restore an index from persisted distance tables.
-
-        No graph and no Dijkstra: the tables are installed exactly as
-        given, so the restored bounds are bit-identical to the saved
-        index's.  This is the warm-start path used by
-        :mod:`repro.store`.
-        """
-        if len(tables) != len(landmarks):
-            raise BuildError(
-                f"landmark table count {len(tables)} != "
-                f"landmark count {len(landmarks)}"
-            )
-        for per_landmark in tables:
-            if len(per_landmark) != dim:
-                raise BuildError(
-                    f"landmark tables carry {len(per_landmark)} dimensions, "
-                    f"expected {dim}"
-                )
-        index = cls.__new__(cls)
-        index._dim = dim
-        index._landmarks = list(landmarks)
-        index._dist = tables
-        return index
-
     @property
     def landmarks(self) -> list[int]:
         """The selected landmark node ids."""
         return list(self._landmarks)
-
-    def distance_tables(self) -> list[list[dict[int, float]]]:
-        """The raw per-landmark, per-dimension distance tables.
-
-        ``tables[l][i]`` maps node -> distance in dimension ``i`` from
-        landmark ``l`` (aligned with :attr:`landmarks`).  Exposed for
-        serialization; treat as read-only.
-        """
-        return self._dist
 
     @property
     def dim(self) -> int:

@@ -65,9 +65,13 @@ def many_to_many_skyline(
     """Run one best-first skyline search from many seeds to many targets.
 
     ``bounds`` should lower-bound the cost from a node to the *nearest*
-    target (:meth:`LandmarkIndex.lower_bound_to_any` wrapped in
-    :class:`~repro.search.bounds.LandmarkLowerBounds`, or
-    :class:`~repro.search.bounds.ExactBounds` built with all targets).
+    target (e.g. :class:`~repro.search.bounds.ExactBounds` built with
+    all targets).  The search has no result-dominance test: it keeps
+    expanding through reached targets and never compares a label with
+    the hits found so far.  A finite bound therefore changes only the
+    pop order; only an infinite one (a node that reaches no target)
+    prunes.  Alg. 3 phase 3
+    (:mod:`repro.core.query`) passes no bound for that reason.
     ``tracer`` wraps the search in one ``search.mbbs`` span carrying
     the :class:`~repro.search.bbs.SearchStats` counters.  The search
     runs the flat CSR kernel

@@ -389,10 +389,10 @@ class SkylineQueryEngine:
         JSON, sniffed) or a snapshot directory, in which case the
         newest valid snapshot is recovered (corrupt files skipped).
         With ``lazy=True`` (default) a binary store only materializes
-        the top graph, landmark tables, and provenance up front; label
-        levels fault in on first use.  Returns load timings plus what
-        was loaded.  Raises :class:`~repro.errors.BuildError` when the
-        path holds no loadable index.
+        the top graph and provenance up front; label levels fault in on
+        first use.  Returns load timings plus what was loaded.  Raises
+        :class:`~repro.errors.BuildError` when the path holds no
+        loadable index.
         """
         started = time.perf_counter()
         generation = None

@@ -9,11 +9,11 @@ reloaded far faster than it can be rebuilt.  This package provides:
   node ids, ``array``-packed cost floats, optional zlib compression,
   and a CRC32 per section (:mod:`repro.store.format`,
   :mod:`repro.store.writer`, :mod:`repro.store.reader`);
-* **landmark table persistence** — the serialized index includes the
-  landmark lower-bound tables, so a loaded index produces bit-identical
-  bounds without re-running a Dijkstra per landmark;
+* **CSR snapshot persistence** — the serialized index includes the
+  CSR snapshot of G_L, compressed and as a raw mmap-able array pack, so
+  a loaded index serves Alg. 3 without rebuilding it;
 * **lazy section loading** — :func:`load_index` with ``lazy=True``
-  restores the top graph, landmarks, and provenance immediately and
+  restores the top graph and provenance immediately and
   faults per-level label sections in on first access, which is what a
   serving warm start wants (:class:`~repro.store.reader.LazyLevelList`);
 * a **generation-aware snapshotter** for
@@ -29,7 +29,6 @@ here; the verbose JSON dump remains readable as a legacy format.
 from repro.store.format import (
     FORMAT_VERSION,
     MAGIC,
-    SECTION_LANDMARKS,
     SECTION_PARAMS,
     SECTION_PROVENANCE,
     SECTION_TOP_GRAPH,
@@ -50,7 +49,6 @@ __all__ = [
     "IndexStore",
     "LazyLevelList",
     "MAGIC",
-    "SECTION_LANDMARKS",
     "SECTION_PARAMS",
     "SECTION_PROVENANCE",
     "SECTION_TOP_GRAPH",

@@ -1,7 +1,7 @@
 """Low-level encoding primitives for the binary index format.
 
 Node identifiers dominate an index's payload (label path sequences,
-adjacency, landmark table keys), and consecutive ids are strongly
+adjacency, provenance sequences), and consecutive ids are strongly
 correlated — sorted key sets by construction, path sequences by road
 locality.  Varint/zigzag/delta encoding therefore shrinks them by
 4-6x against boxed JSON numbers.  Cost floats go through

@@ -15,7 +15,10 @@ before decompression.  All integers are little-endian.
 
 The format carries a single version number; readers reject unknown
 versions outright rather than guessing (a versioned header is cheap,
-silent misparses are not).
+silent misparses are not).  Version 2 stopped writing version 1's
+bound-table section over G_L and its params key.  Readers accept
+version 1 files too: sections are looked up by tag and params by key,
+so the two are simply never read.
 """
 
 from __future__ import annotations
@@ -24,7 +27,9 @@ import struct
 from dataclasses import dataclass
 
 MAGIC = b"RBIX"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+# Versions this reader accepts; see the module docstring.
+READABLE_VERSIONS = frozenset({1, 2})
 
 HEADER_STRUCT = struct.Struct("<4sHHHHI")
 SECTION_STRUCT = struct.Struct("<12sHHQQQI")
@@ -35,7 +40,6 @@ SECTION_FLAG_ZLIB = 0x1
 # Well-known section tags (ASCII, at most 12 bytes).
 SECTION_PARAMS = "params"
 SECTION_TOP_GRAPH = "topgraph"
-SECTION_LANDMARKS = "landmarks"
 SECTION_PROVENANCE = "provenance"
 # CSR snapshot of G_L (repro.accel); absent in files written before
 # snapshots were stored — readers treat it as optional.

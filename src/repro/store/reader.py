@@ -2,11 +2,10 @@
 
 :class:`IndexStore` parses the header and section table once; section
 payloads are read, CRC-verified, and decompressed on demand.  A full
-load materializes every section; a lazy load restores the top graph,
-landmark tables, and provenance immediately and defers the per-level
-label sections behind a :class:`LazyLevelList`, so a serving process
-can answer its first backbone query before the deeper levels ever
-touch disk.
+load materializes every section; a lazy load restores the top graph
+and provenance immediately and defers the per-level label sections
+behind a :class:`LazyLevelList`, so a serving process can answer its
+first backbone query before the deeper levels ever touch disk.
 
 Every corruption mode — truncated file, bad checksum, wrong magic or
 version, ragged payload — surfaces as a clean
@@ -27,13 +26,12 @@ from repro.errors import BuildError
 from repro.obs.tracer import Tracer, resolve_tracer
 from repro.store.codec import ByteReader
 from repro.store.format import (
-    FORMAT_VERSION,
     HEADER_STRUCT,
     MAGIC,
     MAX_SECTIONS,
+    READABLE_VERSIONS,
     SECTION_CSR,
     SECTION_CSR_RAW,
-    SECTION_LANDMARKS,
     SECTION_PARAMS,
     SECTION_PROVENANCE,
     SECTION_STRUCT,
@@ -73,10 +71,11 @@ class IndexStore:
                 )
                 if magic != MAGIC:
                     raise BuildError(f"{self.path}: not a backbone index store")
-                if version != FORMAT_VERSION:
+                if version not in READABLE_VERSIONS:
+                    supported = ", ".join(map(str, sorted(READABLE_VERSIONS)))
                     raise BuildError(
                         f"{self.path}: unsupported store version {version} "
-                        f"(reader supports {FORMAT_VERSION})"
+                        f"(reader supports {supported})"
                     )
                 if section_count > MAX_SECTIONS:
                     raise BuildError(
@@ -273,7 +272,6 @@ class IndexStore:
             clustering=ClusteringStrategy(raw["clustering"]),
             tree_policy=TreePolicy(raw["tree_policy"]),
             label_scope=LabelScope(raw["label_scope"]),
-            landmark_count=raw["landmark_count"],
             max_levels=raw["max_levels"],
             max_label_frontier=raw["max_label_frontier"],
         )
@@ -315,33 +313,6 @@ class IndexStore:
             v = u + reader.svarint()
             graph.add_edge(u, v, reader.floats(self.dim))
         return graph
-
-    def load_landmarks(self, top_graph: "MultiCostGraph"):
-        """Restore the landmark index from its persisted tables.
-
-        No Dijkstra runs here — the tables come back exactly as built,
-        so the restored bounds are bit-identical to the saved ones.
-        """
-        from repro.search.landmark import LandmarkIndex
-
-        reader = ByteReader(self.section_bytes(SECTION_LANDMARKS))
-        landmark_count = reader.uvarint()
-        dim = reader.uvarint()
-        if dim != self.dim:
-            raise BuildError(
-                f"{self.path}: landmark section dim {dim} != header {self.dim}"
-            )
-        ids = [reader.svarint() for _ in range(landmark_count)]
-        tables: list[list[dict[int, float]]] = []
-        for _ in range(landmark_count):
-            per_landmark: list[dict[int, float]] = []
-            for _ in range(dim):
-                size = reader.uvarint()
-                keys = reader.deltas(size)
-                values = reader.floats(size)
-                per_landmark.append(dict(zip(keys, values)))
-            tables.append(per_landmark)
-        return LandmarkIndex.from_tables(dim, ids, tables)
 
     def load_csr(self):
         """Decode the persisted CSR snapshot of G_L, or None if absent.
@@ -387,7 +358,6 @@ class IndexStore:
         ) as span:
             params = self.load_params()
             top_graph = self.load_top_graph()
-            landmarks = self.load_landmarks(top_graph)
             provenance = self.load_provenance()
             if lazy:
                 levels: Sequence = LazyLevelList(self, self.level_count)
@@ -398,7 +368,6 @@ class IndexStore:
                 params=params,
                 levels=levels,  # type: ignore[arg-type]
                 top_graph=top_graph,
-                landmarks=landmarks,
                 provenance=provenance,
                 build_stats=BuildStats(),
             )

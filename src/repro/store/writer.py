@@ -26,7 +26,6 @@ from repro.store.format import (
     SECTION_CSR,
     SECTION_CSR_RAW,
     SECTION_FLAG_ZLIB,
-    SECTION_LANDMARKS,
     SECTION_PARAMS,
     SECTION_PROVENANCE,
     SECTION_STRUCT,
@@ -39,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.index import BackboneIndex
     from repro.core.labels import LevelIndex
     from repro.graph.mcrn import MultiCostGraph
-    from repro.search.landmark import LandmarkIndex
 
 # Payloads smaller than this never win from zlib framing overhead.
 _MIN_COMPRESS_BYTES = 64
@@ -66,7 +64,6 @@ def encode_params(index: "BackboneIndex") -> bytes:
             "clustering": params.clustering.value,
             "tree_policy": params.tree_policy.value,
             "label_scope": params.label_scope.value,
-            "landmark_count": params.landmark_count,
             "max_levels": params.max_levels,
             "max_label_frontier": params.max_label_frontier,
         },
@@ -121,29 +118,6 @@ def encode_top_graph(graph: "MultiCostGraph") -> bytes:
         previous_u = u
         writer.svarint(v - u)
         writer.floats(cost)
-    return writer.payload()
-
-
-def encode_landmarks(landmarks: "LandmarkIndex") -> bytes:
-    """The landmark lower-bound tables, exactly as built.
-
-    Persisting these is the whole point of warm start: restoring them
-    yields bit-identical triangle bounds with no Dijkstra per landmark
-    on the load path.
-    """
-    writer = ByteWriter()
-    ids = landmarks.landmarks
-    tables = landmarks.distance_tables()
-    writer.uvarint(len(ids))
-    writer.uvarint(landmarks.dim)
-    for landmark in ids:
-        writer.svarint(landmark)
-    for per_landmark in tables:
-        for table in per_landmark:
-            keys = sorted(table)
-            writer.uvarint(len(keys))
-            writer.deltas(keys)
-            writer.floats(table[node] for node in keys)
     return writer.payload()
 
 
@@ -208,7 +182,6 @@ def serialize_index(index: "BackboneIndex", *, compress: bool = True) -> bytes:
 def _iter_sections(index: "BackboneIndex"):
     yield SECTION_PARAMS, encode_params(index)
     yield SECTION_TOP_GRAPH, encode_top_graph(index.top_graph)
-    yield SECTION_LANDMARKS, encode_landmarks(index.landmarks)
     yield SECTION_PROVENANCE, encode_provenance(index)
     # Persisting the G_L CSR snapshot lets a warm start serve flat
     # queries without rebuilding it (repro.accel).  The raw twin is the

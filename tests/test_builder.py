@@ -150,7 +150,7 @@ class TestWholeComponentClusters:
         graph.add_node(69)
         for u, v, cost in self.EDGES:
             graph.add_edge(u, v, cost)
-        params = BackboneParams(m_max=10, m_min=2, p=0.2, landmark_count=4)
+        params = BackboneParams(m_max=10, m_min=2, p=0.2)
         return graph, build_backbone_index(graph, params)
 
     def test_every_node_stays_reachable_in_the_index(self):

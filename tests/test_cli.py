@@ -65,6 +65,19 @@ class TestGenerate:
         assert code == 0
         assert "verification ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "removed", [["--landmarks", "4"], ["--build-workers", "2"]]
+    )
+    def test_removed_build_options_are_rejected(
+        self, network_files, tmp_path, capsys, removed
+    ):
+        out = tmp_path / "never.rbi"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["build", f"{network_files}.gr", "--out", str(out), *removed])
+        assert exit_info.value.code == 2  # argparse usage error
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_style(self, tmp_path):
         prefix = tmp_path / "grid"
         assert main(

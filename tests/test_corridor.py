@@ -19,7 +19,7 @@ from repro.qa import reference
 from repro.search.bbs import skyline_paths
 from repro.service.cache import ResultCache, key_generation
 
-PARAMS = BackboneParams(m_max=12, m_min=3, p=0.2, landmark_count=4)
+PARAMS = BackboneParams(m_max=12, m_min=3, p=0.2)
 
 
 @pytest.fixture(scope="module")

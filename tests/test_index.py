@@ -112,3 +112,39 @@ class TestExpandPath:
             # no shortcuts exist, so the walk is already original
             assert expanded.nodes == path.nodes
             assert_valid_walk(network, expanded)
+
+
+class TestNoLandmarkIndex:
+    def test_index_lifecycle_never_selects_landmarks(
+        self, tmp_path, monkeypatch
+    ):
+        """Build, persist, reload, query and maintain an index with
+        landmark selection made to fail: no step may need landmarks."""
+        import repro.search.landmark as landmark_module
+        from repro.core.maintenance import MaintainableIndex
+        from repro.core.query import backbone_query
+        from repro.core.verify import verify_index
+
+        def forbid(*args, **kwargs):  # pragma: no cover - failure path
+            raise AssertionError("the backbone index must not select landmarks")
+
+        monkeypatch.setattr(landmark_module, "select_landmarks", forbid)
+        graph = road_network(200, dim=2, seed=5)
+        params = BackboneParams(m_max=25, m_min=4, p=0.05)
+        built = build_backbone_index(graph, params)
+        assert verify_index(built).ok
+        nodes = sorted(graph.nodes())
+        source, target = nodes[3], nodes[-4]
+        for fmt in ("binary", "json"):
+            path = tmp_path / f"index.{fmt}"
+            built.save(path, format=fmt)
+            loaded = BackboneIndex.load(path, graph)
+            assert costs_of(backbone_query(loaded, source, target).paths) == (
+                costs_of(backbone_query(built, source, target).paths)
+            )
+
+        maintained = MaintainableIndex(graph, params)
+        u, v, cost = next(iter(graph.edges()))
+        maintained.update_edge_cost(u, v, cost, tuple(c * 2 for c in cost))
+        assert maintained.generation == 1
+        assert maintained.query(source, target)

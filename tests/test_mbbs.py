@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NodeNotFoundError
 from repro.graph.generators import road_network
+from repro.graph.mcrn import MultiCostGraph
+from repro.qa.invariants import answer_set_errors, path_errors
 from repro.paths.path import Path
 from repro.search.bbs import skyline_paths
 from repro.search.bounds import ExactBounds
@@ -129,3 +135,73 @@ class TestBasics:
         assert outcome.hits == {}
         assert outcome.stats.expansions == 0
         assert outcome.stats.pushes == 0
+
+
+# A node id no generated graph uses: the virtual origin every seed hangs
+# off when hits are priced as whole walks.
+_ORIGIN = 10_000
+
+
+def seeded_multigraph(seed: int, directed: bool) -> MultiCostGraph:
+    """Sparse ids, parallel edges and integer costs (exact float sums)."""
+    rng = random.Random(seed)
+    dim = rng.choice((2, 3))
+    graph = MultiCostGraph(dim, directed=directed)
+    nodes = rng.sample(range(1000), rng.randint(2, 14))
+    for node in nodes:
+        graph.add_node(node)
+    for _ in range(rng.randint(1, 36)):
+        u, v = rng.sample(nodes, 2)
+        graph.add_edge(u, v, tuple(float(rng.randint(1, 9)) for _ in range(dim)))
+    return graph
+
+
+def hit_walks(outcome, targets, priced: MultiCostGraph) -> dict:
+    """target -> the hits as walks from ``_ORIGIN`` at their total cost."""
+    walks = {}
+    for target in targets:
+        walks[target] = [
+            Path((_ORIGIN,) + tuple(local.nodes), cost)
+            for cost, (_payload, local) in outcome.hits.get(target, ())
+        ]
+        for walk in walks[target]:
+            assert not path_errors(priced, walk, target=target), walk
+    return walks
+
+
+class TestBoundsOnlyReorder:
+    """m_BBS has no result-dominance test, so a finite bound only
+    changes pop order: the answers with and without exact bounds are
+    the same answer set, on undirected and directed multigraphs."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_unbounded_and_exact_bounds_agree(self, seed, directed):
+        graph = seeded_multigraph(seed, directed)
+        rng = random.Random(seed + 1)
+        nodes = sorted(graph.nodes())
+        seeds = [
+            Seed(node, tuple(float(rng.randint(0, 5)) for _ in range(graph.dim)),
+                 payload=node)
+            for node in rng.sample(nodes, min(len(nodes), 2))
+        ]
+        targets = rng.sample(nodes, min(len(nodes), 3))
+        # Price whole walks: a virtual origin reaches each seed at its cost.
+        priced = graph.copy()
+        priced.add_node(_ORIGIN)
+        for item in seeds:
+            priced.add_edge(_ORIGIN, item.node, item.cost)
+
+        unbounded = many_to_many_skyline(graph, seeds, targets)
+        bounded = many_to_many_skyline(
+            graph, seeds, targets, bounds=ExactBounds(graph, targets)
+        )
+        assert set(unbounded.hits) == set(bounded.hits)
+        walks_a = hit_walks(unbounded, targets, priced)
+        walks_b = hit_walks(bounded, targets, priced)
+        for target in targets:
+            assert not answer_set_errors(
+                "unbounded", walks_a[target], "exact_bounds", walks_b[target],
+                graph=priced,
+            ), target

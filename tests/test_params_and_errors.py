@@ -50,7 +50,7 @@ class TestBackboneParams:
             {"p": 1.0},
             {"p_ind": 1.0},
             {"p_ind": -0.2},
-            {"landmark_count": 0},
+            {"m_max": 10, "m_min": 11},  # exceeds an explicit m_max
             {"max_levels": 0},
             {"max_label_frontier": 0},
         ],

@@ -21,8 +21,14 @@ from repro.store import (
     serialize_index,
 )
 from repro.store.codec import ByteReader, ByteWriter, unzigzag, zigzag
-from repro.store.format import HEADER_STRUCT, MAGIC, SECTION_STRUCT
-from repro.store.writer import encode_top_graph
+from repro.store.format import (
+    FORMAT_VERSION,
+    HEADER_STRUCT,
+    MAGIC,
+    SECTION_STRUCT,
+    pack_tag,
+)
+from repro.store.writer import _iter_sections, encode_top_graph
 
 from tests.conftest import costs_of
 
@@ -98,17 +104,7 @@ class TestRoundTrip:
         for s, t in [(nodes[1], nodes[-2]), (nodes[4], nodes[-7])]:
             assert costs_of(loaded.query(s, t)) == costs_of(index.query(s, t))
 
-    def test_landmark_bounds_bit_identical(self, store_path, network, index):
-        loaded = load_index(store_path, network)
-        assert loaded.landmarks.landmarks == index.landmarks.landmarks
-        tops = sorted(index.top_graph.nodes())
-        for u in tops[:5]:
-            for v in tops[-5:]:
-                assert loaded.landmarks.lower_bound(
-                    u, v
-                ) == index.landmarks.lower_bound(u, v)
-
-    def test_no_dijkstra_on_load(self, store_path, network, monkeypatch):
+    def test_no_dijkstra_on_load(self, store_path, network, index, monkeypatch):
         import repro.search.landmark as landmark_module
 
         def forbid(*args, **kwargs):  # pragma: no cover - failure path
@@ -116,7 +112,10 @@ class TestRoundTrip:
 
         monkeypatch.setattr(landmark_module, "shortest_costs", forbid)
         loaded = load_index(store_path, network)
-        assert loaded.landmarks.size_entries() > 0
+        assert loaded.height == index.height
+        assert loaded.top_graph.num_edge_entries == (
+            index.top_graph.num_edge_entries
+        )
 
     def test_params_roundtrip_exactly(self, store_path, network, index):
         loaded = load_index(store_path, network)
@@ -214,20 +213,6 @@ class TestSniffing:
             index.query(nodes[2], nodes[-3])
         )
 
-    def test_json_v2_restores_landmarks_without_dijkstra(
-        self, tmp_path, network, index, monkeypatch
-    ):
-        path = tmp_path / "legacy.json"
-        index.save(path, format="json")
-        import repro.search.landmark as landmark_module
-
-        def forbid(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("v2 JSON load must not run Dijkstra")
-
-        monkeypatch.setattr(landmark_module, "shortest_costs", forbid)
-        loaded = BackboneIndex.load(path, network)
-        assert loaded.landmarks.landmarks == index.landmarks.landmarks
-
     def test_unknown_save_format_rejected(self, tmp_path, index):
         with pytest.raises(BuildError):
             index.save(tmp_path / "x", format="msgpack")
@@ -307,12 +292,12 @@ class TestCorruption:
 
     def test_missing_section(self, index, network, tmp_path):
         data = bytearray(serialize_index(index))
-        # Rename the landmarks section tag so lookup fails.
+        # Rename the (required) top-graph section tag so lookup fails.
         offset = HEADER_STRUCT.size
         while True:
             tag = bytes(data[offset : offset + 12]).rstrip(b"\x00")
-            if tag == b"landmarks":
-                data[offset : offset + 12] = b"nolandmarks!".ljust(12, b"\x00")
+            if tag == b"topgraph":
+                data[offset : offset + 12] = b"notopgraph!".ljust(12, b"\x00")
                 # fix the table entry's tag only; CRC covers payloads
                 break
             offset += SECTION_STRUCT.size
@@ -326,9 +311,10 @@ class TestInspect:
     def test_inspect_reports_sections(self, store_path):
         info = inspect_store(store_path)
         assert info["format"] == "repro-backbone-store"
-        assert info["version"] == 1
+        assert info["version"] == FORMAT_VERSION == 2
         tags = {section["tag"] for section in info["sections"]}
-        assert {"params", "topgraph", "landmarks", "provenance"} <= tags
+        assert {"params", "topgraph", "provenance", "csr", "csrraw"} <= tags
+        assert "landmarks" not in tags
         assert any(tag.startswith("level:") for tag in tags)
         assert info["file_bytes"] == store_path.stat().st_size
         for section in info["sections"]:
@@ -350,3 +336,100 @@ class TestCompressionEffectiveness:
         index.save(json_path, format="json")
         index.save(binary_path)
         assert binary_path.stat().st_size * 3 <= json_path.stat().st_size
+
+
+def _assemble_store(version: int, dim: int, height: int, sections) -> bytes:
+    """Lay out a store file by hand: header, section table, payloads.
+
+    Payloads are stored uncompressed; ``sections`` is a list of
+    ``(tag, raw_bytes)`` pairs.
+    """
+    import zlib
+
+    header = HEADER_STRUCT.pack(MAGIC, version, 0, dim, height, len(sections))
+    offset = len(header) + SECTION_STRUCT.size * len(sections)
+    table = bytearray()
+    for tag, raw in sections:
+        table += SECTION_STRUCT.pack(
+            pack_tag(tag), 0, 0, offset, len(raw), len(raw),
+            zlib.crc32(raw) & 0xFFFFFFFF,
+        )
+        offset += len(raw)
+    return header + bytes(table) + b"".join(raw for _tag, raw in sections)
+
+
+def _version_1_sections(index):
+    """The sections a version-1 writer produced: today's sections plus
+    a ``landmarks`` section and a ``landmark_count`` params key."""
+    import json
+
+    landmarks = ByteWriter()
+    landmarks.uvarint(1)  # one landmark
+    landmarks.uvarint(index.dim)
+    top = sorted(index.top_graph.nodes())
+    landmarks.svarint(top[0])
+    for _ in range(index.dim):
+        landmarks.uvarint(len(top))
+        landmarks.deltas(top)
+        landmarks.floats([1.0] * len(top))
+    sections = []
+    for tag, raw in _iter_sections(index):
+        if tag == "params":
+            document = json.loads(raw)
+            document["params"]["landmark_count"] = 8
+            raw = json.dumps(document, sort_keys=True).encode("utf-8")
+        sections.append((tag, raw))
+        if tag == "topgraph":
+            sections.append(("landmarks", landmarks.payload()))
+    return sections
+
+
+class TestFormatVersions:
+    def test_version_1_file_loads(self, index, network, tmp_path):
+        path = tmp_path / "v1.rbi"
+        path.write_bytes(
+            _assemble_store(1, index.dim, index.height, _version_1_sections(index))
+        )
+        store = IndexStore(path)
+        assert store.version == 1
+        assert "landmarks" in store.sections
+        loaded = load_index(path, network)
+        assert loaded.params == index.params
+        assert loaded.label_path_count() == index.label_path_count()
+        nodes = sorted(network.nodes())
+        for s, t in [(nodes[1], nodes[-2]), (nodes[4], nodes[-7])]:
+            assert loaded.query(s, t) == index.query(s, t)
+
+    def test_version_3_rejected(self, index, network, tmp_path):
+        path = tmp_path / "v3.rbi"
+        path.write_bytes(
+            _assemble_store(3, index.dim, index.height, list(_iter_sections(index)))
+        )
+        with pytest.raises(BuildError, match="unsupported store version 3"):
+            load_index(path, network)
+
+    def test_json_document_has_no_landmarks(self, index, tmp_path):
+        import json
+
+        path = tmp_path / "doc.json"
+        index.save(path, format="json")
+        document = json.loads(path.read_text())
+        assert document["version"] == 2
+        assert "landmarks" not in document
+        assert "landmark_count" not in document["params"]
+
+    def test_older_json_with_landmarks_still_loads(self, index, network, tmp_path):
+        import json
+
+        path = tmp_path / "old.json"
+        index.save(path, format="json")
+        document = json.loads(path.read_text())
+        document["params"]["landmark_count"] = 8
+        document["landmarks"] = {"nodes": [], "tables": []}
+        path.write_text(json.dumps(document))
+        loaded = BackboneIndex.load(path, network)
+        assert loaded.params == index.params
+        nodes = sorted(network.nodes())
+        assert costs_of(loaded.query(nodes[2], nodes[-3])) == costs_of(
+            index.query(nodes[2], nodes[-3])
+        )
