@@ -7,13 +7,15 @@ dict machinery swapped for flat, slot-indexed state:
 
 * neighbor iteration walks CSR slot ranges — one list index per slot
   replaces the adjacency-dict and parallel-edge-dict lookups;
-* lower bounds come from a dense ``(n, dim)`` matrix built once per
-  search (:mod:`repro.accel.bounds`, array Dijkstra) and flattened to
-  per-node tuples, so the two bound probes per label (push and pop)
+* BBS lower bounds come from a dense ``(n, dim)`` matrix built once
+  per search (:mod:`repro.accel.bounds`, array Dijkstra) and flattened
+  to per-node tuples, so the two bound probes per label (push and pop)
   are list indexing instead of per-dimension dict probes;
-* the result-set dominance prune runs as an inlined early-exit loop
-  with a 2-D fast path, and labels are only allocated for candidates
-  that survive every prune.
+* the BBS result-set dominance prune runs as an inlined early-exit
+  loop with a 2-D fast path, and labels are only allocated for
+  candidates that survive every prune;
+* m_BBS has neither: it runs without a bound (see
+  :func:`repro.search.mbbs.many_to_many_skyline`).
 
 NumPy is deliberately kept *out* of the per-expansion path: road
 networks average 2–3 outgoing slots per node, and dispatching array
@@ -273,15 +275,14 @@ def flat_many_to_many(
     seeds: Sequence,
     targets: Sequence[int],
     *,
-    bounds: LowerBoundProvider | None = None,
     time_budget: float | None = None,
-    max_expansions: int | None = None,
-    node_mask: Sequence[bool] | None = None,
 ):
-    """m_BBS over the snapshot; mirrors ``_many_to_many_impl``.
+    """m_BBS over the snapshot; mirrors the reference's unbounded run.
 
-    ``node_mask`` restricts expansion exactly as in
-    :func:`flat_skyline_paths`.
+    No bound, node restriction or expansion cap: the reference loop
+    with ``bounds=None`` adds a zero bound, which changes no cost and
+    no heap key, so labels are pushed at ``sum(cost)`` and the two
+    runs stay bit-identical.
     """
     from repro.search.bbs import SearchStats
     from repro.search.mbbs import ManyToManyResult, Seed
@@ -299,23 +300,11 @@ def flat_many_to_many(
         stats.elapsed_seconds = time.perf_counter() - start_time
         return result
 
-    dim = snapshot.dim
-    if bounds is None:
-        # Mirrors ZeroBounds: the addition still runs so projected costs
-        # match the reference bit for bit.
-        bound_rows: list = [(0.0,) * dim] * snapshot.num_nodes
-    else:
-        # m_BBS searches on G_L touch a small slice of the node set but
-        # aim at many targets, so dense up-front materialization loses;
-        # rows fault in per node through the provider instead — the
-        # exact tuples the reference sees, computed once per node
-        # rather than once per push.
-        bound_rows = [None] * snapshot.num_nodes
-
     indptr, indices_list = snapshot.adjacency_lists()
     cost_tuples = snapshot.cost_tuples()
     node_ids = snapshot.node_ids.tolist()
     dense_targets = {snapshot.dense_of(node) for node in target_set}
+    dim = snapshot.dim
     two_d = dim == 2
     three_d = dim == 3
 
@@ -323,31 +312,22 @@ def flat_many_to_many(
     tie_breaker = itertools.count()
     heap: list[tuple[float, int, Label]] = []
 
-    def push_scalar(label: Label) -> None:
-        brow = bound_rows[label.node]
-        if brow is None:
-            brow = bound_rows[label.node] = tuple(
-                bounds.bound(node_ids[label.node])
-            )
-        projected = tuple(c + b for c, b in zip(label.cost, brow))
-        if _INF in projected:
-            stats.pruned_by_bound += 1
-            return
+    for seed in seeds:
+        if not graph.has_node(seed.node):
+            raise NodeNotFoundError(seed.node)
+        label = Label(
+            snapshot.dense_of(seed.node), tuple(seed.cost), seed=seed
+        )
         frontier = frontiers.get(label.node)
         if frontier is None:
             frontier = frontiers[label.node] = NodeFrontier()
         if not frontier.try_add(label.cost):
             stats.pruned_by_frontier += 1
-            return
+            continue
         stats.pushes += 1
-        heapq.heappush(heap, (sum(projected), next(tie_breaker), label))
+        heapq.heappush(heap, (sum(label.cost), next(tie_breaker), label))
         if len(heap) > stats.max_heap_size:
             stats.max_heap_size = len(heap)
-
-    for seed in seeds:
-        if not graph.has_node(seed.node):
-            raise NodeNotFoundError(seed.node)
-        push_scalar(Label(snapshot.dense_of(seed.node), tuple(seed.cost), seed=seed))
 
     # Monotone loop counter for the budget gate (see flat_skyline_paths).
     loop_count = 0
@@ -357,9 +337,6 @@ def flat_many_to_many(
                 stats.timed_out = True
                 break
         loop_count += 1
-        if max_expansions is not None and stats.expansions >= max_expansions:
-            stats.timed_out = True
-            break
 
         _, _, label = heapq.heappop(heap)
         node = label.node
@@ -382,31 +359,13 @@ def flat_many_to_many(
         lcost = label.cost
         for slot in range(indptr[node], indptr[node + 1]):
             neighbor = indices_list[slot]
-            if node_mask is not None and not node_mask[neighbor]:
-                stats.pruned_by_corridor += 1
-                continue
             w = cost_tuples[slot]
-            brow = bound_rows[neighbor]
-            if brow is None:
-                brow = bound_rows[neighbor] = tuple(
-                    bounds.bound(node_ids[neighbor])
-                )
             if two_d:
                 extended = (lcost[0] + w[0], lcost[1] + w[1])
-                projected = (extended[0] + brow[0], extended[1] + brow[1])
             elif three_d:
                 extended = (lcost[0] + w[0], lcost[1] + w[1], lcost[2] + w[2])
-                projected = (
-                    extended[0] + brow[0],
-                    extended[1] + brow[1],
-                    extended[2] + brow[2],
-                )
             else:
                 extended = tuple(c + e for c, e in zip(lcost, w))
-                projected = tuple(c + b for c, b in zip(extended, brow))
-            if _INF in projected:
-                stats.pruned_by_bound += 1
-                continue
             frontier = frontiers.get(neighbor)
             if frontier is None:
                 frontier = frontiers[neighbor] = NodeFrontier()
@@ -417,7 +376,7 @@ def flat_many_to_many(
             heapq.heappush(
                 heap,
                 (
-                    sum(projected),
+                    sum(extended),
                     next(tie_breaker),
                     Label(neighbor, extended, parent=label),
                 ),

@@ -20,7 +20,10 @@ pipeline:
    target-side hops backward (the "extra information from highway
    entrances to each node").  A hop whose underlying road is one-way
    against the direction of travel is dropped;
-4. the second-type search runs m_BBS over the *directed* top graph.
+4. the second-type search runs m_BBS over the *directed* top graph,
+   without a bound like the undirected phase 3: an exact bound would
+   prune only labels at nodes that reach no target, and building it
+   costs more than those prunes save.
 
 Under the paper's stated assumption (near-symmetric costs) the replay
 preserves approximation quality; for strongly asymmetric networks it
@@ -39,7 +42,6 @@ from repro.errors import BuildError, NodeNotFoundError
 from repro.graph.mcrn import MultiCostGraph
 from repro.paths.frontier import PathSet
 from repro.paths.path import Path
-from repro.search.bounds import ExactBounds
 from repro.search.mbbs import Seed, many_to_many_skyline
 
 
@@ -236,10 +238,8 @@ class DirectedBackboneIndex:
                 for node in source_possible
                 for prefix in forward[node]
             ]
-            bounds = ExactBounds(top, target_possible)
             outcome = many_to_many_skyline(
-                top, seeds, target_possible, bounds=bounds,
-                snapshot=self._top_snapshot,
+                top, seeds, target_possible, snapshot=self._top_snapshot
             )
             for landing, hits in outcome.hits.items():
                 suffixes = backward[landing].paths()

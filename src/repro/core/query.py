@@ -5,7 +5,9 @@ phases:
 
 1. **Grow S** — skyline paths from v_s climb the index level by level:
    at level i, every reached node's label extends the partial paths to
-   that node's highway entrances.  Reaching v_t directly yields results.
+   that node's highway entrances.  S does not depend on v_t, so queries
+   sharing a source grow it once; partial paths that end at v_t are
+   results.
 2. **Grow D** — the same from v_t, with the extra *meet* rule: reaching
    a node already in S joins the two half-paths into a candidate
    (the paper's first type of backbone paths).
@@ -73,21 +75,12 @@ class QueryResult:
 
     ``truncated`` is True when a wall-clock budget expired before the
     search finished: the paths are the best partial skyline found so
-    far rather than the full approximate answer.  ``planner_mode``
-    records which strategy produced the result ("approx" for the
-    backbone algorithm; the service layer also sets "exact" and
-    "corridor").  ``quality`` carries the corridor tier's online
-    :class:`~repro.approx.quality.QualityReport` (None elsewhere) and
-    ``escalated`` marks an answer re-served by the exact tier after a
-    missed quality target.
+    far rather than the full approximate answer.
     """
 
     paths: list[Path] = field(default_factory=list)
     stats: QueryStats = field(default_factory=QueryStats)
     truncated: bool = False
-    planner_mode: str = "approx"
-    quality: object | None = None
-    escalated: bool = False
 
     def __len__(self) -> int:
         return len(self.paths)
@@ -110,10 +103,11 @@ def _grow(
 
     ``other`` is the already-grown map of the opposite endpoint (None
     while growing S); meets against it produce first-type candidates.
-    Paths in the returned map run ``start -> key``.  With ``goal=None``
-    no direct-hit harvesting happens, making the grown map reusable
-    across targets (see :func:`backbone_query_shared_source`).  Returns
-    the reached map plus a flag set when ``deadline`` expired mid-grow.
+    Paths reaching ``goal`` are reversed into ``results`` instead of
+    growing on; growing S passes ``goal=None``, so the grown map serves
+    every target (see :func:`backbone_query_shared_source`).  Paths in
+    the returned map run ``start -> key``.  Returns the reached map
+    plus a flag set when ``deadline`` expired mid-grow.
     """
     reached: dict[int, PathSet] = {
         start: PathSet([Path.trivial(start, index.dim)])
@@ -132,7 +126,7 @@ def _grow(
                 ]
                 if entrance == goal:
                     for path in combined:
-                        if results.add(path if other is None else path.reverse()):
+                        if results.add(path.reverse()):
                             stats.first_type_candidates += 1
                     continue
                 if other is not None and entrance in other:
@@ -204,91 +198,17 @@ def backbone_query(
 ) -> QueryResult:
     """Approximate skyline paths between two nodes (Algorithm 3).
 
-    ``time_budget`` caps wall-clock seconds across all three phases; on
-    expiry the best partial skyline found so far is returned with
-    ``truncated=True`` instead of raising (``stats.truncated_phase``
-    names the phase that was cut).  An enabled ``tracer`` wraps the
-    query in a ``query.backbone`` span with one child span per phase
-    (``query.phase.grow_s`` / ``grow_t`` / ``connect_top``).
-
-    The top-graph m_BBS phase runs over the index's cached CSR
-    snapshot (:meth:`BackboneIndex.csr_top`, built on first use); the
-    grow phases walk per-level label structures, not a graph.
+    The one-target call of :func:`backbone_query_shared_source`, so a
+    single query runs exactly the code the serving engine runs for a
+    group of queries sharing a source.  ``time_budget`` caps
+    wall-clock seconds across all three phases; on expiry the best
+    partial skyline found so far is returned with ``truncated=True``
+    instead of raising (``stats.truncated_phase`` names the phase that
+    was cut).
     """
-    graph = index.original_graph
-    if not graph.has_node(source):
-        raise NodeNotFoundError(source)
-    if not graph.has_node(target):
-        raise NodeNotFoundError(target)
-    started = time.perf_counter()
-    deadline = started + time_budget if time_budget is not None else None
-    stats = QueryStats()
-    if source == target:
-        result = QueryResult(paths=[Path.trivial(source, index.dim)], stats=stats)
-        stats.elapsed_seconds = time.perf_counter() - started
-        return result
-    if time_budget is not None and time_budget <= 0:
-        # An already-expired budget must not pay for a first grow
-        # iteration; return the immediately-truncated empty result.
-        stats.mark_truncated("grow_s")
-        stats.elapsed_seconds = time.perf_counter() - started
-        return QueryResult(stats=stats, truncated=True)
-
-    tracer = resolve_tracer(tracer)
-    results = PathSet()
-    with tracer.span(
-        "query.backbone", source=source, target=target
-    ) as qspan:
-        # Phase 1: grow S from the source (paths run source -> key).
-        with tracer.span("query.phase.grow_s") as span:
-            source_map, cut = _grow(
-                index, source, results=results, other=None, goal=target,
-                stats=stats, deadline=deadline,
-            )
-            if cut:
-                stats.mark_truncated("grow_s")
-            if span.enabled:
-                span.set(keys=len(source_map), truncated=cut)
-        if span.enabled:
-            stats.phase_seconds["grow_s"] = span.duration
-        # Phase 2: grow D from the target, meeting S along the way.
-        with tracer.span("query.phase.grow_t") as span:
-            target_map, cut = _grow(
-                index, target, results=results, other=source_map, goal=source,
-                stats=stats, deadline=deadline,
-            )
-            if cut:
-                stats.mark_truncated("grow_t")
-            if span.enabled:
-                span.set(keys=len(target_map), truncated=cut)
-        if span.enabled:
-            stats.phase_seconds["grow_t"] = span.duration
-        stats.source_keys = len(source_map)
-        stats.target_keys = len(target_map)
-
-        # Phase 3: connect surviving partial paths through G_L.
-        with tracer.span("query.phase.connect_top") as span:
-            _connect_through_top(
-                index, source_map, target_map, results, stats, deadline,
-                tracer=tracer,
-            )
-            if span.enabled and stats.mbbs_stats is not None:
-                span.counters.update(stats.mbbs_stats.as_span_counters())
-        if span.enabled:
-            stats.phase_seconds["connect_top"] = span.duration
-
-        stats.elapsed_seconds = time.perf_counter() - started
-        if qspan.enabled:
-            qspan.set(
-                paths=len(results),
-                truncated=stats.truncated,
-                truncated_phase=stats.truncated_phase,
-                first_type=stats.first_type_candidates,
-                second_type=stats.second_type_candidates,
-            )
-    return QueryResult(
-        paths=results.paths(), stats=stats, truncated=stats.truncated
-    )
+    return backbone_query_shared_source(
+        index, source, [target], time_budget=time_budget, tracer=tracer
+    )[target]
 
 
 def backbone_query_shared_source(
@@ -299,129 +219,143 @@ def backbone_query_shared_source(
     time_budget: float | None = None,
     tracer: Tracer | None = None,
 ) -> dict[int, QueryResult]:
-    """Answer many queries from one source, growing S only once.
+    """Answer queries from one source to many targets, growing S once.
 
-    ParetoPrep-style amortization for batched workloads: phase 1 (grow
-    S) does not depend on the target, so a batch of queries sharing a
-    source pays for it once.  Phase 1 runs with no direct-hit
-    harvesting (``goal=None``); per target, the source map's paths that
-    already end at the target are harvested as first-type candidates
-    before phases 2 and 3 run as usual.  Extra candidates that pass
-    through a target and continue (impossible in the single-query
-    variant, where direct hits stop growing) carry a component-wise
-    larger cost than an already-harvested direct path, so the final
-    skyline per target is identical to running each query alone through
-    this function.
+    ParetoPrep-style amortization (arXiv 1410.0205): phase 1 (grow S)
+    does not depend on the target, so every target shares it.  Phase 1
+    runs with no direct-hit harvesting (``goal=None``); per target, the
+    source map's paths that already end at the target are harvested as
+    first-type candidates before phases 2 and 3 run.  Paths that pass
+    through a target and continue carry a component-wise larger cost
+    than the direct path harvested there, so they never enter the
+    skyline.
 
-    ``time_budget`` covers the whole batch; per-target results that ran
-    out of time come back with ``truncated=True``.
+    ``time_budget`` covers the whole call; an already-expired budget
+    grows nothing and returns empty results with ``truncated=True``
+    (a target equal to the source always gets its trivial path).  An
+    enabled ``tracer`` records one ``query.backbone`` span holding one
+    ``query.phase.grow_s`` child and, per distinct non-trivial target,
+    a ``query.target`` span with ``query.phase.grow_t`` and
+    ``query.phase.connect_top`` children.
+
+    The top-graph m_BBS phase runs over the index's cached CSR
+    snapshot (:meth:`BackboneIndex.csr_top`, built on first use); the
+    grow phases walk per-level label structures, not a graph.
     """
     graph = index.original_graph
-    if not graph.has_node(source):
-        raise NodeNotFoundError(source)
-    for target in targets:
-        if not graph.has_node(target):
-            raise NodeNotFoundError(target)
+    for node in (source, *targets):
+        if not graph.has_node(node):
+            raise NodeNotFoundError(node)
     started = time.perf_counter()
     deadline = started + time_budget if time_budget is not None else None
-    if time_budget is not None and time_budget <= 0:
-        # Same contract as backbone_query: an expired budget yields
-        # immediately-truncated empty results without growing anything.
-        answers: dict[int, QueryResult] = {}
-        for target in targets:
-            if target in answers:
-                continue
-            stats = QueryStats()
-            if source == target:
-                answers[target] = QueryResult(
-                    paths=[Path.trivial(source, index.dim)], stats=stats
-                )
-            else:
-                stats.mark_truncated("grow_s")
-                answers[target] = QueryResult(stats=stats, truncated=True)
-            stats.elapsed_seconds = time.perf_counter() - started
-        return answers
+    expired = time_budget is not None and time_budget <= 0
     tracer = resolve_tracer(tracer)
 
+    answers: dict[int, QueryResult] = {}
     with tracer.span(
-        "query.shared_source", source=source, targets=len(targets)
-    ) as batch_span:
-        grow_stats = QueryStats()
-        sink = PathSet()  # goal=None never harvests into it
-        with tracer.span("query.phase.grow_s", shared=True) as grow_span:
-            source_map, source_cut = _grow(
-                index, source, results=sink, other=None, goal=None,
-                stats=grow_stats, deadline=deadline,
-            )
-            if grow_span.enabled:
-                grow_span.set(keys=len(source_map), truncated=source_cut)
+        "query.backbone", source=source, targets=len(targets)
+    ) as root:
+        source_map: dict[int, PathSet] = {}
+        source_cut = False
+        grow_seconds: float | None = None
+        if not expired and any(target != source for target in targets):
+            # Phase 1: grow S once (paths run source -> key); goal=None
+            # never harvests into the sink.
+            with tracer.span("query.phase.grow_s") as span:
+                source_map, source_cut = _grow(
+                    index, source, results=PathSet(), other=None, goal=None,
+                    stats=QueryStats(), deadline=deadline,
+                )
+                if span.enabled:
+                    span.set(keys=len(source_map), truncated=source_cut)
+            if span.enabled:
+                grow_seconds = span.duration
         shared_seconds = time.perf_counter() - started
 
-        answers: dict[int, QueryResult] = {}
         for target in targets:
             if target in answers:
                 continue
             target_started = time.perf_counter()
             stats = QueryStats()
-            if source_cut:
-                stats.mark_truncated("grow_s")
-            if grow_span.enabled:
-                stats.phase_seconds["grow_s"] = grow_span.duration
-            if source == target:
-                answers[target] = QueryResult(
+            if target == source:
+                result = QueryResult(
                     paths=[Path.trivial(source, index.dim)], stats=stats
                 )
-                stats.elapsed_seconds = time.perf_counter() - target_started
-                continue
-            with tracer.span("query.target", target=target) as tspan:
-                results = PathSet()
-                direct = source_map.get(target)
-                if direct is not None:
-                    for path in direct.paths():
-                        if results.add(path):
-                            stats.first_type_candidates += 1
-                with tracer.span("query.phase.grow_t") as span:
-                    target_map, cut = _grow(
-                        index, target, results=results, other=source_map,
-                        goal=source, stats=stats, deadline=deadline,
-                    )
-                    if cut:
-                        stats.mark_truncated("grow_t")
-                    if span.enabled:
-                        span.set(keys=len(target_map), truncated=cut)
-                if span.enabled:
-                    stats.phase_seconds["grow_t"] = span.duration
-                stats.source_keys = len(source_map)
-                stats.target_keys = len(target_map)
-                with tracer.span("query.phase.connect_top") as span:
-                    _connect_through_top(
-                        index, source_map, target_map, results, stats,
-                        deadline, tracer=tracer,
-                    )
-                    if span.enabled and stats.mbbs_stats is not None:
-                        span.counters.update(
-                            stats.mbbs_stats.as_span_counters()
-                        )
-                if span.enabled:
-                    stats.phase_seconds["connect_top"] = span.duration
-                if tspan.enabled:
-                    tspan.set(
-                        paths=len(results),
-                        truncated=stats.truncated,
-                        truncated_phase=stats.truncated_phase,
-                    )
+            elif expired:
+                stats.mark_truncated("grow_s")
+                result = QueryResult(stats=stats, truncated=True)
+            else:
+                if source_cut:
+                    stats.mark_truncated("grow_s")
+                if grow_seconds is not None:
+                    stats.phase_seconds["grow_s"] = grow_seconds
+                result = _answer_target(
+                    index, source, target, source_map, stats, deadline, tracer
+                )
             stats.elapsed_seconds = shared_seconds + (
                 time.perf_counter() - target_started
             )
-            answers[target] = QueryResult(
-                paths=results.paths(), stats=stats, truncated=stats.truncated
-            )
-        if batch_span.enabled:
-            batch_span.set(
+            answers[target] = result
+        if root.enabled:
+            root.set(
                 unique_targets=len(answers),
                 truncated=any(a.truncated for a in answers.values()),
             )
     return answers
+
+
+def _answer_target(
+    index: BackboneIndex,
+    source: int,
+    target: int,
+    source_map: dict[int, PathSet],
+    stats: QueryStats,
+    deadline: float | None,
+    tracer: Tracer,
+) -> QueryResult:
+    """Phases 2 and 3 of one target against the shared source map."""
+    results = PathSet()
+    with tracer.span("query.target", target=target) as tspan:
+        direct = source_map.get(target)
+        if direct is not None:
+            for path in direct.paths():
+                if results.add(path):
+                    stats.first_type_candidates += 1
+        # Phase 2: grow D from the target, meeting S along the way.
+        with tracer.span("query.phase.grow_t") as span:
+            target_map, cut = _grow(
+                index, target, results=results, other=source_map,
+                goal=source, stats=stats, deadline=deadline,
+            )
+            if cut:
+                stats.mark_truncated("grow_t")
+            if span.enabled:
+                span.set(keys=len(target_map), truncated=cut)
+        if span.enabled:
+            stats.phase_seconds["grow_t"] = span.duration
+        stats.source_keys = len(source_map)
+        stats.target_keys = len(target_map)
+        # Phase 3: connect surviving partial paths through G_L.
+        with tracer.span("query.phase.connect_top") as span:
+            _connect_through_top(
+                index, source_map, target_map, results, stats, deadline,
+                tracer=tracer,
+            )
+            if span.enabled and stats.mbbs_stats is not None:
+                span.counters.update(stats.mbbs_stats.as_span_counters())
+        if span.enabled:
+            stats.phase_seconds["connect_top"] = span.duration
+        if tspan.enabled:
+            tspan.set(
+                paths=len(results),
+                truncated=stats.truncated,
+                truncated_phase=stats.truncated_phase,
+                first_type=stats.first_type_candidates,
+                second_type=stats.second_type_candidates,
+            )
+    return QueryResult(
+        paths=results.paths(), stats=stats, truncated=stats.truncated
+    )
 
 
 def backbone_one_to_all(

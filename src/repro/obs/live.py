@@ -38,7 +38,21 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Callable
 
-_WINDOW_PERCENTILES = (0.50, 0.95, 0.99)
+PERCENTILES = (0.50, 0.95, 0.99)
+
+
+def nearest_rank(values: list[float], q: float) -> float:
+    """The nearest-rank q-quantile (0 < q <= 1) of sorted ``values``;
+    0.0 when there are none."""
+    if not values:
+        return 0.0
+    rank = math.ceil(q * len(values)) - 1
+    return values[max(0, min(len(values) - 1, rank))]
+
+
+def percentile_fields(values: list[float]) -> dict[str, float]:
+    """``p50``/``p95``/``p99`` of sorted ``values`` by nearest rank."""
+    return {f"p{int(q * 100)}": nearest_rank(values, q) for q in PERCENTILES}
 
 
 class RollingWindow:
@@ -89,15 +103,7 @@ class RollingWindow:
             "min": values[0] if values else 0.0,
             "max": values[-1] if values else 0.0,
         }
-        for q in _WINDOW_PERCENTILES:
-            key = f"p{int(q * 100)}"
-            if values:
-                rank = max(
-                    0, min(len(values) - 1, math.ceil(q * len(values)) - 1)
-                )
-                doc[key] = values[rank]
-            else:
-                doc[key] = 0.0
+        doc.update(percentile_fields(values))
         return doc
 
 

@@ -67,7 +67,6 @@ from repro.qa.workload import (
     qa_params,
 )
 from repro.search.bbs import SearchStats, skyline_paths
-from repro.search.bounds import ExactBounds
 from repro.search.mbbs import Seed, many_to_many_skyline
 from repro.search.onetoall import one_to_all_skyline
 from repro.service.engine import SkylineQueryEngine
@@ -77,7 +76,8 @@ from repro.service.engine import SkylineQueryEngine
 # "answer_set" is the same (cost, node-sequence) answer set
 # (repro.qa.invariants.answer_set_errors) — the fused kernel reorders
 # expansions by design, so its counters and equal-cost witnesses may
-# differ.
+# differ.  Production m_BBS takes no bound, so its row compares against
+# the reference run with bounds=None.
 CONTRACTS = {
     "bbs": "identical",  # repro.search.bbs.skyline_paths
     "mbbs": "identical",  # repro.search.mbbs.many_to_many_skyline
@@ -283,12 +283,9 @@ class _ContractChecks:
             node for node in graph.sorted_neighbors(target)[:2]
             if node != target
         ]
-        bounds = ExactBounds(graph, targets)
-        ours = reference.many_to_many_skyline(
-            graph, seeds, targets, bounds=bounds
-        )
+        ours = reference.many_to_many_skyline(graph, seeds, targets)
         theirs = many_to_many_skyline(
-            graph, seeds, targets, bounds=bounds, snapshot=snapshot
+            graph, seeds, targets, snapshot=snapshot
         )
         if _hit_rows(ours) != _hit_rows(theirs):
             yield "mbbs", "hits differ from the reference"

@@ -201,7 +201,11 @@ def many_to_many_skyline(
     restrict_to=None,
 ) -> ManyToManyResult:
     """m_BBS; the reference for
-    :func:`repro.search.mbbs.many_to_many_skyline`."""
+    :func:`repro.search.mbbs.many_to_many_skyline`.
+
+    Production runs unbounded and matches this loop's ``bounds=None``
+    run bit for bit; the paper's bound, the node restriction and the
+    expansion cap exist only here."""
     seed_list = list(seeds)
     target_set = set(targets)
     for node in target_set:

@@ -25,7 +25,6 @@ from repro.obs.tracer import Tracer, resolve_tracer
 from repro.paths.dominance import CostVector
 from repro.paths.frontier import ParetoSet
 from repro.search.bbs import SearchStats
-from repro.search.bounds import LowerBoundProvider
 
 
 @dataclass(frozen=True)
@@ -55,34 +54,26 @@ def many_to_many_skyline(
     seeds: Iterable[Seed],
     targets: Sequence[int],
     *,
-    bounds: LowerBoundProvider | None = None,
     time_budget: float | None = None,
-    max_expansions: int | None = None,
     tracer: Tracer | None = None,
     snapshot=None,
-    restrict_to=None,
 ) -> ManyToManyResult:
     """Run one best-first skyline search from many seeds to many targets.
 
-    ``bounds`` should lower-bound the cost from a node to the *nearest*
-    target (e.g. :class:`~repro.search.bounds.ExactBounds` built with
-    all targets).  The search has no result-dominance test: it keeps
-    expanding through reached targets and never compares a label with
-    the hits found so far.  A finite bound therefore changes only the
-    pop order; only an infinite one (a node that reaches no target)
-    prunes.  Alg. 3 phase 3
-    (:mod:`repro.core.query`) passes no bound for that reason.
-    ``tracer`` wraps the search in one ``search.mbbs`` span carrying
-    the :class:`~repro.search.bbs.SearchStats` counters.  The search
-    runs the flat CSR kernel
-    (:func:`repro.accel.bbs_kernel.flat_many_to_many`) over
-    ``snapshot``, built on demand when None, exactly as in
-    :func:`repro.search.bbs.skyline_paths`; ``restrict_to`` limits
-    expansion to a node set exactly as there (it must contain the
-    targets a caller wants reached).
+    The search runs without a lower bound.  It has no result-dominance
+    test: it keeps expanding through reached targets and never compares
+    a label with the hits found so far, so the paper's finite bound
+    estimates only reorder its heap and never prune a label.  The
+    paper's bound, node restriction and expansion cap stay in the
+    reference loop (:func:`repro.qa.reference.many_to_many_skyline`),
+    whose unbounded run this search matches bit for bit.  ``tracer``
+    wraps the search in one ``search.mbbs`` span carrying the
+    :class:`~repro.search.bbs.SearchStats` counters.  The search runs
+    the flat CSR kernel (:func:`repro.accel.bbs_kernel.flat_many_to_many`)
+    over ``snapshot``, built on demand when None, exactly as in
+    :func:`repro.search.bbs.skyline_paths`.
     """
     from repro.accel.bbs_kernel import flat_many_to_many
-    from repro.search.bbs import restriction_mask
 
     seed_list = list(seeds)
     tracer = resolve_tracer(tracer)
@@ -91,24 +82,10 @@ def many_to_many_skyline(
 
         snapshot = CSRSnapshot.from_graph(graph, tracer=tracer)
     with tracer.span(
-        "search.mbbs",
-        seeds=len(seed_list),
-        targets=len(targets),
-        restricted=restrict_to is not None,
+        "search.mbbs", seeds=len(seed_list), targets=len(targets)
     ) as span:
         result = flat_many_to_many(
-            graph,
-            snapshot,
-            seed_list,
-            targets,
-            bounds=bounds,
-            time_budget=time_budget,
-            max_expansions=max_expansions,
-            node_mask=(
-                restriction_mask(restrict_to, snapshot)
-                if restrict_to is not None
-                else None
-            ),
+            graph, snapshot, seed_list, targets, time_budget=time_budget
         )
         if span.enabled:
             span.counters.update(result.stats.as_span_counters())

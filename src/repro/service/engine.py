@@ -878,7 +878,6 @@ class SkylineQueryEngine:
         result: QueryResult,
         generation: int,
     ) -> QueryResponse:
-        result.planner_mode = "approx"
         return QueryResponse(
             source=source,
             target=target,

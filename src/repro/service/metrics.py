@@ -26,13 +26,13 @@ import time
 import zlib
 from typing import Iterable
 
+from repro.obs.live import PERCENTILES, nearest_rank, percentile_fields
+
 # Cap the per-histogram sample buffer.  Beyond the cap, uniform
 # reservoir sampling (Vitter's Algorithm R) keeps every observation
 # equally likely to be retained, so percentile estimates stay unbiased
 # for long-running services without unbounded memory.
 _DEFAULT_MAX_SAMPLES = 8192
-
-_PERCENTILES = (0.50, 0.95, 0.99)
 
 
 class Counter:
@@ -205,10 +205,7 @@ class Histogram:
         """The q-quantile (0 < q <= 1) of the recorded samples."""
         with self._lock:
             samples = sorted(self._samples)
-        if not samples:
-            return 0.0
-        rank = max(0, min(len(samples) - 1, math.ceil(q * len(samples)) - 1))
-        return samples[rank]
+        return nearest_rank(samples, q)
 
     def summary(self) -> dict:
         """count/sum/mean/min/max plus the standard percentiles."""
@@ -224,14 +221,7 @@ class Histogram:
             "min": lo,
             "max": hi,
         }
-        for q in _PERCENTILES:
-            if samples:
-                rank = max(
-                    0, min(len(samples) - 1, math.ceil(q * len(samples)) - 1)
-                )
-                doc[f"p{int(q * 100)}"] = samples[rank]
-            else:
-                doc[f"p{int(q * 100)}"] = 0.0
+        doc.update(percentile_fields(samples))
         return doc
 
 
@@ -360,7 +350,7 @@ class MetricsRegistry:
             lines.append(f"# TYPE {histogram.name} summary")
             lines.append(f"{histogram.name}_count {doc['count']}")
             lines.append(f"{histogram.name}_sum {doc['sum']:.6f}")
-            for q in _PERCENTILES:
+            for q in PERCENTILES:
                 key = f"p{int(q * 100)}"
                 lines.append(
                     f'{histogram.name}{{quantile="{q:g}"}} {doc[key]:.6f}'

@@ -233,18 +233,14 @@ class TestFlatParity:
             Seed(nodes[1], tuple(float(i) for i in range(1, dim + 1)), "b"),
         ]
         targets = nodes[-3:]
-        for bounds in (None, ExactBounds(case.graph, targets)):
-            python = reference.many_to_many_skyline(
-                case.graph, seeds, targets, bounds=bounds
-            )
-            flat = many_to_many_skyline(
-                case.graph, seeds, targets, bounds=bounds, snapshot=snapshot
-            )
-            assert self._hits(python) == self._hits(flat)
-            assert (
-                python.stats.as_span_counters()
-                == flat.stats.as_span_counters()
-            )
+        python = reference.many_to_many_skyline(case.graph, seeds, targets)
+        flat = many_to_many_skyline(
+            case.graph, seeds, targets, snapshot=snapshot
+        )
+        assert self._hits(python) == self._hits(flat)
+        assert (
+            python.stats.as_span_counters() == flat.stats.as_span_counters()
+        )
 
     @staticmethod
     def _hits(result):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import NodeNotFoundError
 from repro.graph.generators import road_network
 from repro.graph.mcrn import MultiCostGraph
+from repro.qa import reference
 from repro.qa.invariants import answer_set_errors, path_errors
 from repro.paths.path import Path
 from repro.search.bbs import skyline_paths
@@ -33,10 +34,7 @@ class TestBasics:
         s, t = nodes[0], nodes[-1]
         dim = network.dim
         outcome = many_to_many_skyline(
-            network,
-            [Seed(s, (0.0,) * dim, payload="origin")],
-            [t],
-            bounds=ExactBounds(network, [t]),
+            network, [Seed(s, (0.0,) * dim, payload="origin")], [t]
         )
         expected = costs_of(skyline_paths(network, s, t).paths)
         got = {
@@ -81,22 +79,26 @@ class TestBasics:
         assert (0.0, 0.0) in costs
 
     def test_multiple_targets(self, network):
+        """Production (unbounded) and the reference with the paper's
+        landmark bound both reach every target's exact skyline."""
         nodes = sorted(network.nodes())
         s = nodes[0]
         targets = [nodes[-1], nodes[-2], nodes[len(nodes) // 2]]
-        index = LandmarkIndex(network, 4)
-        outcome = many_to_many_skyline(
-            network,
-            [Seed(s, (0.0,) * network.dim, payload=None)],
-            targets,
-            bounds=LandmarkLowerBounds(index, targets),
-        )
-        for t in targets:
-            expected = costs_of(skyline_paths(network, s, t).paths)
-            got = {
-                tuple(round(c, 6) for c in cost) for cost, _ in outcome.hits[t]
-            }
-            assert got == expected
+        seeds = [Seed(s, (0.0,) * network.dim, payload=None)]
+        bounds = LandmarkLowerBounds(LandmarkIndex(network, 4), targets)
+        for outcome in (
+            many_to_many_skyline(network, seeds, targets),
+            reference.many_to_many_skyline(
+                network, seeds, targets, bounds=bounds
+            ),
+        ):
+            for t in targets:
+                expected = costs_of(skyline_paths(network, s, t).paths)
+                got = {
+                    tuple(round(c, 6) for c in cost)
+                    for cost, _ in outcome.hits[t]
+                }
+                assert got == expected
 
     def test_missing_target_raises(self):
         g = make_diamond_graph()
@@ -109,8 +111,9 @@ class TestBasics:
             many_to_many_skyline(g, [Seed(99, (0.0, 0.0), payload=None)], [3])
 
     def test_expansion_budget(self, network):
+        # The expansion cap lives in the reference only.
         nodes = sorted(network.nodes())
-        outcome = many_to_many_skyline(
+        outcome = reference.many_to_many_skyline(
             network,
             [Seed(nodes[0], (0.0,) * network.dim, payload=None)],
             [nodes[-1]],
@@ -170,9 +173,11 @@ def hit_walks(outcome, targets, priced: MultiCostGraph) -> dict:
 
 
 class TestBoundsOnlyReorder:
-    """m_BBS has no result-dominance test, so a finite bound only
-    changes pop order: the answers with and without exact bounds are
-    the same answer set, on undirected and directed multigraphs."""
+    """m_BBS has no result-dominance test, so a bound only changes pop
+    order (an infinite one also skips nodes that reach no target):
+    production m_BBS, which takes no bound, returns the same answer set
+    as the reference bounded by exact reverse Dijkstra, on undirected
+    and directed multigraphs."""
 
     @pytest.mark.parametrize("directed", [False, True])
     @given(seed=st.integers(0, 10_000))
@@ -194,7 +199,7 @@ class TestBoundsOnlyReorder:
             priced.add_edge(_ORIGIN, item.node, item.cost)
 
         unbounded = many_to_many_skyline(graph, seeds, targets)
-        bounded = many_to_many_skyline(
+        bounded = reference.many_to_many_skyline(
             graph, seeds, targets, bounds=ExactBounds(graph, targets)
         )
         assert set(unbounded.hits) == set(bounded.hits)

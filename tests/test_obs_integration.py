@@ -40,6 +40,18 @@ def far_pair(graph):
     return nodes[0], nodes[-1]
 
 
+def phase_spans(root):
+    """The root's grow_s child, then the grow_t / connect_top children
+    of every ``query.target`` span, in order."""
+    spans = []
+    for child in root.children:
+        if child.name == "query.target":
+            spans.extend(child.children)
+        else:
+            spans.append(child)
+    return spans
+
+
 class TestTracedQuery:
     def test_three_phases_nested_under_query_root(self, built_index):
         source, target = far_pair(built_index.original_graph)
@@ -47,13 +59,19 @@ class TestTracedQuery:
         result = backbone_query(built_index, source, target, tracer=tracer)
         roots = tracer.roots()
         assert [r.name for r in roots] == ["query.backbone"]
-        child_names = [c.name for c in roots[0].children]
-        assert list(QUERY_PHASES) == child_names
-        assert roots[0].attrs["paths"] == len(result.paths)
+        root = roots[0]
+        assert root.attrs["targets"] == 1
+        assert [c.name for c in root.children] == [
+            "query.phase.grow_s", "query.target",
+        ]
+        target_span = root.children[1]
+        assert target_span.attrs["target"] == target
+        assert target_span.attrs["paths"] == len(result.paths)
+        assert [s.name for s in phase_spans(root)] == list(QUERY_PHASES)
         # phase spans nest inside the root's interval
-        for child in roots[0].children:
-            assert roots[0].start <= child.start
-            assert child.end <= roots[0].end
+        for child in phase_spans(root):
+            assert root.start <= child.start
+            assert child.end <= root.end
 
     def test_phase_seconds_populated_from_spans(self, built_index):
         source, target = far_pair(built_index.original_graph)
@@ -62,10 +80,9 @@ class TestTracedQuery:
         assert set(result.stats.phase_seconds) == {
             "grow_s", "grow_t", "connect_top",
         }
-        root = tracer.roots()[0]
-        for child in root.children:
-            phase = child.name.rsplit(".", 1)[-1]
-            assert result.stats.phase_seconds[phase] == child.duration
+        for span in phase_spans(tracer.roots()[0]):
+            phase = span.name.rsplit(".", 1)[-1]
+            assert result.stats.phase_seconds[phase] == span.duration
 
     def test_untraced_query_has_no_phase_seconds(self, built_index):
         source, target = far_pair(built_index.original_graph)
@@ -98,7 +115,8 @@ class TestTracedQuery:
         )
         assert set(answers) == set(targets)
         root = tracer.roots()[0]
-        assert root.name == "query.shared_source"
+        assert root.name == "query.backbone"
+        assert root.attrs["targets"] == len(targets)
         child_names = [c.name for c in root.children]
         assert child_names[0] == "query.phase.grow_s"
         assert child_names.count("query.target") == len(targets)

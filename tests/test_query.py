@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.builder import build_backbone_index
 from repro.core.params import AggressiveMode, BackboneParams
@@ -197,3 +199,30 @@ class TestBudget:
             assert answers[target].truncated
             assert answers[target].paths == []
             assert answers[target].stats.source_keys == 0
+
+
+def answer_rows(result):
+    return [(tuple(p.nodes), p.cost) for p in result.paths]
+
+
+class TestSharedSource:
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_group_answers_equal_single_queries(self, index, network, data):
+        """Growing S once for a group changes no target's answer: paths,
+        costs and order equal the one-target call, with repeated
+        targets and the source itself in the group."""
+        nodes = sorted(network.nodes())
+        source = data.draw(st.sampled_from(nodes))
+        drawn = data.draw(
+            st.lists(st.sampled_from(nodes), min_size=1, max_size=5)
+        )
+        targets = data.draw(st.permutations(drawn + [source, drawn[0]]))
+        answers = backbone_query_shared_source(index, source, targets)
+        assert set(answers) == set(targets)
+        for target in set(targets):
+            alone = backbone_query(index, source, target)
+            assert answer_rows(answers[target]) == answer_rows(alone)
+            assert not answers[target].truncated
+        trivial = [((source,), (0.0,) * index.dim)]
+        assert answer_rows(answers[source]) == trivial
