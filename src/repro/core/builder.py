@@ -16,22 +16,40 @@ the remaining graph is the most abstracted graph G_L.
 
 The loop core is exposed as :func:`summarize_levels` so index
 maintenance (:mod:`repro.core.maintenance`) can replay construction
-from an intermediate level after a network update.
+from an intermediate level after a network update.  Each level
+records a :class:`LevelPlan` — its structure plus its priced pieces —
+and its labels are the plan's fold (:meth:`LevelPlan.fold`), so
+maintenance can rerun just the pieces an edge-cost update reaches and
+re-fold the level the same way.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.core.index import BackboneIndex, BuildStats, LevelStats, ShortcutKey
-from repro.core.labels import LevelIndex
+from repro.core.labels import LevelIndex, record_label_rows, run_label_task
 from repro.core.params import AggressiveMode, BackboneParams
-from repro.core.segments import condense_segments, find_single_segments
-from repro.core.summarize import condense_round
+from repro.core.segments import (
+    SegmentPiece,
+    condense_segments,
+    find_single_segments,
+    price_segment,
+)
+from repro.core.summarize import (
+    Edge,
+    RoundPlan,
+    condense_round,
+    fold_round,
+    price_strip,
+)
 from repro.errors import BuildError
 from repro.graph.mcrn import MultiCostGraph
 from repro.obs.tracer import Tracer, resolve_tracer
+from repro.paths.dominance import CostVector
 
 # A level may loop condensing rounds only so many times before we call
 # it stalled; each round shrinks the graph, so this is a safety valve.
@@ -62,20 +80,157 @@ def _replay_round_removals(
         work.add_edge(u, v, cost)
 
 
+def canonical_pair(u: int, v: int) -> Edge:
+    """The undirected node pair as the edge table keys it."""
+    return (u, v) if u <= v else (v, u)
+
+
+# A level's priced piece: ("strip", round, 0), ("task", round, cluster)
+# or ("segment", segment, 0).
+Piece = tuple[str, int, int]
+
+
+@dataclass
+class LevelPlan:
+    """One level's structure and its priced pieces.
+
+    The structure — each round's peel order, clusters and surviving
+    nodes, and the condensed segments — depends only on adjacency,
+    which an edge-cost update cannot change.  The pieces read edge
+    costs: each round's strip skyline, each cluster's label task, each
+    segment's labels and shortcut.  :meth:`reprice` reruns chosen
+    pieces against the level's input graph and :meth:`fold` re-folds
+    the level's labels in the builder's order.
+    ``segment_surviving`` is None when aggressive summarization did not
+    condense anything at this level.
+    """
+
+    rounds: list[RoundPlan] = field(default_factory=list)
+    segments: list[SegmentPiece] = field(default_factory=list)
+    segment_surviving: set[int] | None = None
+
+    @cached_property
+    def readers(self) -> dict[Edge, list[Piece]]:
+        """Node pair -> the pieces whose inputs read its costs."""
+        readers: dict[Edge, list[Piece]] = {}
+        for r, round_plan in enumerate(self.rounds):
+            for node, anchor in round_plan.strip_order:
+                readers.setdefault(canonical_pair(node, anchor), []).append(
+                    ("strip", r, 0)
+                )
+            for k, task in enumerate(round_plan.tasks):
+                for pair in dict.fromkeys(
+                    canonical_pair(u, v) for u, v, _ in task.removed_edges
+                ):
+                    readers.setdefault(pair, []).append(("task", r, k))
+        for k, piece in enumerate(self.segments):
+            for u, v in zip(piece.nodes, piece.nodes[1:]):
+                readers.setdefault(canonical_pair(u, v), []).append(
+                    ("segment", k, 0)
+                )
+        return readers
+
+    @cached_property
+    def removed(self) -> set[Edge]:
+        """Node pairs this level removes (every other pair of its input
+        graph carries into the next level's)."""
+        removed = {
+            canonical_pair(u, v)
+            for round_plan in self.rounds
+            for pairs in (round_plan.strip_order, *round_plan.cluster_pairs)
+            for u, v in pairs
+        }
+        for piece in self.segments:
+            removed.update(
+                canonical_pair(u, v) for u, v in zip(piece.nodes, piece.nodes[1:])
+            )
+        return removed
+
+    def shortcut_costs(self, pair: Edge) -> list[CostVector]:
+        """Every shortcut cost this level adds between the pair."""
+        return [
+            cost
+            for piece in self.segments
+            if piece.has_shortcut
+            and canonical_pair(piece.nodes[0], piece.nodes[-1]) == pair
+            for cost in piece.shortcut_costs
+        ]
+
+    def provenance(self) -> dict[ShortcutKey, tuple[int, ...]]:
+        """The level's shortcut provenance, first segment wins."""
+        provenance: dict[ShortcutKey, tuple[int, ...]] = {}
+        for piece in self.segments:
+            if piece.has_shortcut:
+                for cost in piece.shortcut_costs:
+                    provenance.setdefault(
+                        (piece.nodes[0], piece.nodes[-1], cost), piece.nodes
+                    )
+        return provenance
+
+    def reprice(self, pieces: set[Piece], graph: MultiCostGraph) -> set[Edge]:
+        """Rerun ``pieces`` priced from ``graph``, the level's input
+        graph; returns the node pairs whose shortcut costs changed."""
+        edge_costs = graph.edge_costs
+        changed_shortcuts: set[Edge] = set()
+        for kind, a, b in pieces:
+            if kind == "strip":
+                round_plan = self.rounds[a]
+                round_plan.strip_rows = price_strip(
+                    round_plan.strip_order, edge_costs
+                )
+            elif kind == "task":
+                round_plan = self.rounds[a]
+                task = round_plan.tasks[b]
+                pairs = dict.fromkeys((u, v) for u, v, _ in task.removed_edges)
+                task = dataclasses.replace(
+                    task,
+                    removed_edges=[
+                        (u, v, cost) for u, v in pairs for cost in edge_costs(u, v)
+                    ],
+                )
+                round_plan.tasks[b] = task
+                round_plan.task_rows[b] = run_label_task(task)
+            else:
+                old = self.segments[a]
+                nodes = old.nodes
+                new = price_segment(
+                    graph.dim,
+                    nodes,
+                    [edge_costs(u, v) for u, v in zip(nodes, nodes[1:])],
+                )
+                self.segments[a] = new
+                if new.has_shortcut and new.shortcut_costs != old.shortcut_costs:
+                    changed_shortcuts.add(canonical_pair(nodes[0], nodes[-1]))
+        return changed_shortcuts
+
+    def fold(self) -> LevelIndex:
+        """A new level index from the cached rows, folded in the
+        builder's order: rounds first, then the segments."""
+        level_index = LevelIndex()
+        for round_plan in self.rounds:
+            level_index.absorb(
+                fold_round(round_plan), round_plan.surviving, steal=True
+            )
+        if self.segment_surviving is not None:
+            aggressive = LevelIndex()
+            for piece in self.segments:
+                record_label_rows(aggressive, piece.rows)
+            level_index.absorb(aggressive, self.segment_surviving, steal=True)
+        return level_index
+
+
 @dataclass
 class SummarizationOutcome:
     """Everything the level loop produced from one starting graph."""
 
     levels: list[LevelIndex] = field(default_factory=list)
-    # Shortcut provenance recorded per level, so a partial rebuild can
-    # keep the untouched levels' entries.
-    level_provenance: list[dict[ShortcutKey, tuple[int, ...]]] = field(
-        default_factory=list
-    )
     level_stats: list[LevelStats] = field(default_factory=list)
     # Copies of each level's input graph (G_offset, G_offset+1, ...),
     # recorded only when requested; index maintenance replays from them.
     snapshots: list[MultiCostGraph] = field(default_factory=list)
+    # Each level's structure and priced pieces (and its shortcut
+    # provenance, LevelPlan.provenance).
+    plans: list[LevelPlan] = field(default_factory=list)
     final_graph: MultiCostGraph | None = None
 
 
@@ -105,8 +260,7 @@ def summarize_levels(
         nodes_before = work.num_nodes
         edges_before = work.num_edge_entries
 
-        level_index = LevelIndex()
-        level_provenance: dict[ShortcutKey, tuple[int, ...]] = {}
+        plan = LevelPlan()
         removed_edges = 0
         rounds = 0
         clusters = 0
@@ -146,9 +300,7 @@ def summarize_levels(
                         work, nodes_before_round, round_result
                     )
                     break
-                level_index.absorb(
-                    round_result.index, set(work.nodes()), steal=True
-                )
+                plan.rounds.append(round_result.plan)
                 removed_edges += round_result.removed_edge_count
                 clusters += round_result.clusters_condensed
 
@@ -164,17 +316,16 @@ def summarize_levels(
                         aggressive = condense_segments(work, segments)
                         if aggressive.removed_edges and work.num_nodes > 0:
                             aggressive_used = True
-                            level_index.absorb(
-                                aggressive.index, set(work.nodes()), steal=True
-                            )
+                            plan.segments = aggressive.pieces
+                            plan.segment_surviving = set(work.nodes())
                             removed_edges += len(aggressive.removed_edges)
-                            level_provenance.update(aggressive.provenance)
                     if seg_span.enabled:
                         seg_span.set(
                             segments=len(segments),
                             materialized=aggressive_used,
                         )
 
+            level_index = plan.fold()
             # Counting walks every label: once per level, shared by the
             # span and the level statistics.
             label_paths = level_index.path_count()
@@ -194,7 +345,7 @@ def summarize_levels(
             break  # nothing condensable remains; the loop is done
 
         outcome.levels.append(level_index)
-        outcome.level_provenance.append(level_provenance)
+        outcome.plans.append(plan)
         outcome.level_stats.append(
             LevelStats(
                 level=level_offset + len(outcome.levels) - 1,
@@ -267,8 +418,8 @@ def build_backbone_index(
             )
 
         provenance: dict[ShortcutKey, tuple[int, ...]] = {}
-        for per_level in outcome.level_provenance:
-            provenance.update(per_level)
+        for plan in outcome.plans:
+            provenance.update(plan.provenance())
         stats = BuildStats(levels=outcome.level_stats)
         stats.elapsed_seconds = time.perf_counter() - started
         if build_span.enabled:

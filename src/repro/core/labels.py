@@ -24,6 +24,8 @@ from repro.paths.frontier import PathSet
 from repro.paths.path import Path
 
 CostedEdge = tuple[int, int, CostVector]
+# One label path: (labelled node, entrance, path node -> entrance).
+LabelRow = tuple[int, int, Path]
 
 
 @dataclass
@@ -146,7 +148,7 @@ class LabelTask:
     max_frontier: int | None = None
 
 
-def run_label_task(task: LabelTask) -> list[tuple[int, int, Path]]:
+def run_label_task(task: LabelTask) -> list[LabelRow]:
     """Execute one label task, returning ``(node, entrance, path)`` rows.
 
     The removed edges freeze straight into a
@@ -172,9 +174,7 @@ def run_label_task(task: LabelTask) -> list[tuple[int, int, Path]]:
     )
 
 
-def record_label_rows(
-    into: LevelIndex, rows: Iterable[tuple[int, int, Path]]
-) -> None:
+def record_label_rows(into: LevelIndex, rows: Iterable[LabelRow]) -> None:
     """Replay task rows into a level index (order-preserving)."""
     for node, entrance, path in rows:
         into.add_path(node, entrance, path)

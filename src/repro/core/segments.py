@@ -11,13 +11,17 @@ removed interior node a label to the two endpoints.
 Parallel edges along a segment multiply path choices, so the shortcut
 is in general a *skyline set* of cost vectors, which the multigraph's
 parallel-edge pruning stores naturally.
+
+Which segments condense depends only on degrees; their labels and
+shortcut costs are the segment's pricing (:func:`price_segment`),
+which index maintenance reruns when a chain edge's cost changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.labels import CostedEdge, LevelIndex
+from repro.core.labels import CostedEdge, LabelRow
 from repro.graph.mcrn import MultiCostGraph
 from repro.paths.dominance import (
     CostVector,
@@ -49,17 +53,27 @@ class Segment:
 
 
 @dataclass
+class SegmentPiece:
+    """One condensed segment and its pricing: the interior nodes' label
+    rows and the shortcut's cost skyline."""
+
+    nodes: tuple[int, ...]  # (u, v0, ..., vj, w)
+    rows: list[LabelRow]
+    shortcut_costs: list[CostVector]
+
+    @property
+    def has_shortcut(self) -> bool:
+        """False for a lollipop, whose endpoints coincide."""
+        return self.nodes[0] != self.nodes[-1]
+
+
+@dataclass
 class AggressiveResult:
     """Outcome of one aggressive summarization pass."""
 
     removed_nodes: set[int] = field(default_factory=set)
     removed_edges: list[CostedEdge] = field(default_factory=list)
-    index: LevelIndex = field(default_factory=LevelIndex)
-    shortcuts: list[CostedEdge] = field(default_factory=list)
-    # shortcut (u, w, cost) -> underlying node sequence in the level graph
-    provenance: dict[tuple[int, int, CostVector], tuple[int, ...]] = field(
-        default_factory=dict
-    )
+    pieces: list[SegmentPiece] = field(default_factory=list)
 
 
 def find_single_segments(graph: MultiCostGraph) -> list[Segment]:
@@ -146,50 +160,58 @@ def _chain_cost_prefixes(
     return skylines
 
 
+def price_segment(
+    dim: int, nodes: tuple[int, ...], chain_costs: list[list[CostVector]]
+) -> SegmentPiece:
+    """Price one segment from its chain edges' parallel costs.
+
+    Every interior node gets labels to both endpoints (its highway
+    entrances), from per-position cost skylines
+    (:func:`_chain_cost_prefixes`), each path materialized once,
+    directly in label orientation.  The shortcut costs are the skyline
+    from one endpoint to the other.
+    """
+    cost_prefixes = _chain_cost_prefixes(dim, chain_costs)
+    cost_suffixes = _chain_cost_prefixes(dim, chain_costs[::-1])[::-1]
+    left, right = nodes[0], nodes[-1]
+    rows: list[LabelRow] = []
+    for position in range(1, len(nodes) - 1):
+        node = nodes[position]
+        toward_left = nodes[position::-1]
+        for cost in cost_prefixes[position]:
+            rows.append((node, left, Path(toward_left, cost)))
+        toward_right = nodes[position:]
+        for cost in cost_suffixes[position]:
+            rows.append((node, right, Path(toward_right, cost)))
+    return SegmentPiece(nodes, rows, cost_prefixes[-1])
+
+
 def condense_segments(
     graph: MultiCostGraph, segments: list[Segment]
 ) -> AggressiveResult:
     """Condense segments into shortcuts, mutating ``graph`` (Ex. 4.9).
 
-    Every interior node receives labels to both segment endpoints (its
-    highway entrances).  When a segment's endpoints coincide (a
+    Every interior node receives labels to both segment endpoints
+    (:func:`price_segment`); ``pieces`` keeps each condensed segment's
+    label rows and shortcut costs, in segment order.  When a segment's endpoints coincide (a
     lollipop), no shortcut is added — the interior is reachable only
-    through that one endpoint anyway.  Labels come from per-position
-    cost skylines (:func:`_chain_cost_prefixes`), each path
-    materialized once, directly in label orientation.
+    through that one endpoint anyway.
     """
     result = AggressiveResult()
     for segment in segments:
-        nodes = segment.nodes
+        nodes = tuple(segment.nodes)
         if any(node in result.removed_nodes for node in nodes):
             continue  # already consumed by an overlapping segment
         chain_costs = [
             graph.edge_costs(u, v) for u, v in zip(nodes, nodes[1:])
         ]
-        cost_prefixes = _chain_cost_prefixes(graph.dim, chain_costs)
-        cost_suffixes = _chain_cost_prefixes(graph.dim, chain_costs[::-1])[::-1]
-        for position, node in enumerate(nodes[1:-1], start=1):
-            toward_left = tuple(nodes[position::-1])
-            for cost in cost_prefixes[position]:
-                result.index.add_path(node, segment.left, Path(toward_left, cost))
-            toward_right = tuple(nodes[position:])
-            for cost in cost_suffixes[position]:
-                result.index.add_path(
-                    node, segment.right, Path(toward_right, cost)
-                )
-        shortcut_costs = cost_prefixes[-1]
-        through_nodes = tuple(nodes)
+        piece = price_segment(graph.dim, nodes, chain_costs)
+        result.pieces.append(piece)
 
-        for u, v in zip(nodes, nodes[1:]):
-            for cost in graph.edge_costs(u, v):
+        for (u, v), costs in zip(zip(nodes, nodes[1:]), chain_costs):
+            for cost in costs:
                 result.removed_edges.append((u, v, cost))
         result.removed_nodes.update(segment.interior)
-
-        if segment.left != segment.right:
-            for cost in shortcut_costs:
-                key = (segment.left, segment.right, cost)
-                result.shortcuts.append(key)
-                result.provenance.setdefault(key, through_nodes)
 
         # Mutate the graph: drop the chain, add the shortcut skyline.
         for u, v in zip(nodes, nodes[1:]):
@@ -198,7 +220,7 @@ def condense_segments(
         for node in segment.interior:
             if graph.has_node(node):
                 graph.remove_node(node)
-        if segment.left != segment.right:
-            for cost in shortcut_costs:
+        if piece.has_shortcut:
+            for cost in piece.shortcut_costs:
                 graph.add_edge(segment.left, segment.right, cost)
     return result

@@ -30,6 +30,23 @@ _INF = float("inf")
 Coordinate = tuple[float, float]
 
 
+def cost_skyline(costs: Iterable[CostVector]) -> list[CostVector]:
+    """The sorted Pareto skyline of ``costs``, duplicates dropped.
+
+    This is exactly what a node pair stores after every cost is added
+    to it as a parallel edge, in any order: dominance is transitive,
+    so the survivors are the minimal elements either way.
+    """
+    kept: list[CostVector] = []
+    for vec in costs:
+        if any(dominates_or_equal(other, vec) for other in kept):
+            continue
+        kept = [other for other in kept if not dominates(vec, other)]
+        kept.append(vec)
+    kept.sort()
+    return kept
+
+
 class MultiCostGraph:
     """An in-memory multigraph with d-dimensional edge costs.
 
@@ -199,6 +216,29 @@ class MultiCostGraph:
         self._edge_entries += len(survivors) - len(existing)
         self._edges[key] = survivors
         return True
+
+    def set_edge_costs(
+        self, u: int, v: int, costs: Sequence[Sequence[float]]
+    ) -> None:
+        """Make the pair's parallel edges exactly the skyline of ``costs``.
+
+        An existing pair keeps its slot in the edge table, so edge
+        iteration order does not depend on how often its costs changed;
+        an empty ``costs`` removes the pair.
+        """
+        survivors = cost_skyline(self.check_cost(cost) for cost in costs)
+        key = self._key(u, v)
+        existing = self._edges.get(key)
+        if not survivors:
+            if existing is not None:
+                self.remove_edge(u, v)
+            return
+        if existing is None:
+            for cost in survivors:
+                self.add_edge(u, v, cost)
+            return
+        self._edge_entries += len(survivors) - len(existing)
+        self._edges[key] = survivors
 
     def has_edge(self, u: int, v: int) -> bool:
         """True iff at least one edge connects u to v (u -> v if directed)."""

@@ -46,6 +46,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path as FilePath
 
+from repro.core.builder import build_backbone_index
 from repro.core.index import BackboneIndex
 from repro.core.maintenance import MaintainableIndex
 from repro.core.query import backbone_query
@@ -56,6 +57,7 @@ from repro.qa.invariants import (
     answer_set_errors,
     approximation_errors,
     identical_answer_errors,
+    index_identity_errors,
     non_dominance_errors,
     path_errors,
 )
@@ -77,14 +79,21 @@ from repro.service.engine import SkylineQueryEngine
 # (repro.qa.invariants.answer_set_errors) — the fused kernel reorders
 # expansions by design, so its counters and equal-cost witnesses may
 # differ.  Production m_BBS takes no bound, so its row compares against
-# the reference run with bounds=None.
+# the reference run with bounds=None.  The "maintained" row is checked
+# per case, not per query: after each of the case's cost bumps, the
+# maintained index must be the fresh production build of the updated
+# network (repro.qa.invariants.index_identity_errors).
 CONTRACTS = {
     "bbs": "identical",  # repro.search.bbs.skyline_paths
     "mbbs": "identical",  # repro.search.mbbs.many_to_many_skyline
     "onetoall": "identical",  # repro.search.onetoall.one_to_all_skyline
     "build": "identical",  # repro.core.builder.build_backbone_index
     "fused": "answer_set",  # repro.accel.batch_kernel.fused_skyline_batch
+    "maintained": "identical",  # repro.core.maintenance.update_edge_cost
 }
+# Rows checked once per case; every other row is checked per query.
+_CASE_CONTRACTS = {"maintained"}
+_QUERY_CONTRACTS = sum(1 for name in CONTRACTS if name not in _CASE_CONTRACTS)
 
 
 @dataclass(frozen=True)
@@ -256,6 +265,22 @@ class _ContractChecks:
             if a != b
         ]
 
+    def maintained_errors(self, params, updates) -> list[str]:
+        """Replay the case's cost bumps on a fresh maintainer; after
+        each, the maintained index must equal a fresh build."""
+        maintainer = MaintainableIndex(self.graph, params)
+        problems: list[str] = []
+        for step, op in enumerate(updates):
+            if op[0] != "bump":
+                continue
+            apply_updates(maintainer, [op])
+            fresh = build_backbone_index(maintainer.graph, params)
+            problems += [
+                f"after bump {step} {op[1:]}: {detail}"
+                for detail in index_identity_errors(fresh, maintainer.index)
+            ]
+        return problems
+
     def query_errors(self, position: int, oracle, backbone_answer):
         """Yield ``(contract, detail)`` for one case query.
 
@@ -376,13 +401,17 @@ def run_case(
             else None
         )
         if contracts is not None:
-            for detail in contracts.build_stat_errors():
-                report.discrepancies.append(
+            for name, details in (
+                ("build", contracts.build_stat_errors()),
+                ("maintained", contracts.maintained_errors(params, case.updates)),
+            ):
+                report.discrepancies += [
                     Discrepancy(
-                        spec.seed, "contract_identical", "build", None,
-                        detail,
+                        spec.seed, "contract_identical", name, None, detail
                     )
-                )
+                    for detail in details
+                ]
+            report.variants_checked += len(_CASE_CONTRACTS)
 
         for position, query in enumerate(case.queries):
             source, target = query
@@ -412,7 +441,7 @@ def run_case(
                             query, detail,
                         )
                     )
-                report.variants_checked += len(CONTRACTS)
+                report.variants_checked += _QUERY_CONTRACTS
 
             for name, store_index in loaded.items():
                 round_tripped = backbone_query(

@@ -24,7 +24,10 @@ test suite in agreement about what *correct* means:
   same multiplicities, and identical node sequences wherever a cost is
   unique — only which equal-cost alternate survives may differ (with
   the graph at hand, divergent representatives are accepted exactly
-  when both walks price to the claimed cost).
+  when both walks price to the claimed cost);
+* :func:`index_identity_errors` — two backbone indexes are the same
+  index: labels, top graph, provenance, level statistics and the top
+  graph's CSR arrays (the maintained-index contract).
 """
 
 from __future__ import annotations
@@ -314,3 +317,55 @@ def cost_skyline_errors(
         f"(only in {label_a}: {sorted(costs_a - costs_b)[:3]}; "
         f"only in {label_b}: {sorted(costs_b - costs_a)[:3]})"
     ]
+
+
+def _label_rows(level) -> list:
+    """A level's labels as nested lists, in storage order."""
+    return [
+        (
+            node,
+            [
+                (entrance, [(p.nodes, p.cost) for p in bucket])
+                for entrance, bucket in level.get(node).entrances.items()
+            ],
+        )
+        for node in level.nodes()
+    ]
+
+
+def index_identity_errors(expected, actual) -> list[str]:
+    """Where two backbone indexes differ; empty when they are identical.
+
+    Compares, level by level, every label (node -> entrance -> paths
+    with their costs, all in storage order), the top graph's nodes and
+    per-pair parallel costs, the shortcut provenance, the structural
+    per-level build statistics, and the top graph's CSR arrays.
+    """
+    problems: list[str] = []
+    if len(expected.levels) != len(actual.levels):
+        problems.append(
+            f"height: {len(expected.levels)} vs {len(actual.levels)}"
+        )
+    for i, (ours, theirs) in enumerate(zip(expected.levels, actual.levels)):
+        if _label_rows(ours) != _label_rows(theirs):
+            problems.append(f"level {i}: labels differ")
+    top_a, top_b = expected.top_graph, actual.top_graph
+    if sorted(top_a.nodes()) != sorted(top_b.nodes()):
+        problems.append("top graph: node sets differ")
+    edges_a = {pair: top_a.edge_costs(*pair) for pair in top_a.edge_pairs()}
+    edges_b = {pair: top_b.edge_costs(*pair) for pair in top_b.edge_pairs()}
+    if edges_a != edges_b:
+        problems.append("top graph: edges differ")
+    if expected.provenance != actual.provenance:
+        problems.append("provenance differs")
+    if expected.build_stats.levels != actual.build_stats.levels:
+        problems.append(
+            f"level stats: {expected.build_stats.levels} vs "
+            f"{actual.build_stats.levels}"
+        )
+    csr_a, csr_b = expected.csr_top(), actual.csr_top()
+    for name in ("node_ids", "indptr", "indices", "costs"):
+        a, b = getattr(csr_a, name), getattr(csr_b, name)
+        if a.shape != b.shape or not (a == b).all():
+            problems.append(f"csr_top.{name} differs")
+    return problems

@@ -26,6 +26,7 @@ import heapq
 import itertools
 import time
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
 
 from repro.core.builder import _MAX_ROUNDS_PER_LEVEL, required_edge_removals
 from repro.core.clustering import find_dense_clusters
@@ -39,7 +40,7 @@ from repro.core.params import (
 )
 from repro.core.segments import find_single_segments
 from repro.core.spanning import condense_cluster
-from repro.core.summarize import RoundResult, bfs_partitions
+from repro.core.summarize import bfs_partitions
 from repro.errors import BuildError, NodeNotFoundError
 from repro.graph.mcrn import MultiCostGraph
 from repro.graph.traversal import peel_degree_one
@@ -388,9 +389,22 @@ def one_to_all_skyline(
 # ----------------------------------------------------------------------
 
 
-def _strip_degree_one(graph: MultiCostGraph) -> RoundResult:
+@dataclass
+class _Round:
+    """What one reference round removed, and the labels it recorded."""
+
+    removed_nodes: set[int] = field(default_factory=set)
+    removed_edges: list[CostedEdge] = field(default_factory=list)
+    index: LevelIndex = field(default_factory=LevelIndex)
+
+    @property
+    def changed(self) -> bool:
+        return bool(self.removed_nodes or self.removed_edges)
+
+
+def _strip_degree_one(graph: MultiCostGraph) -> _Round:
     """Degree-1 stripping with full path sets per removed node."""
-    result = RoundResult()
+    result = _Round()
     order = peel_degree_one(graph)
     removed = {node for node, _ in order}
     paths_to_anchor: dict[int, tuple[int, PathSet]] = {}
@@ -451,7 +465,7 @@ def _cluster_labels(
                 into.add_path(node, entrance, path.reverse())
 
 
-def _condense_round(graph: MultiCostGraph, params: BackboneParams) -> RoundResult:
+def _condense_round(graph: MultiCostGraph, params: BackboneParams) -> _Round:
     """Strip degree-1 nodes, then condense every dense cluster."""
     strip = _strip_degree_one(graph)
     if params.clustering is ClusteringStrategy.BFS:
@@ -459,7 +473,7 @@ def _condense_round(graph: MultiCostGraph, params: BackboneParams) -> RoundResul
     else:
         clustering = find_dense_clusters(graph, params)
 
-    clusters = RoundResult()
+    clusters = _Round()
     labels: list[tuple] = []
     for cluster_nodes in clustering.clusters:
         live_nodes = {node for node in cluster_nodes if graph.has_node(node)}
@@ -471,7 +485,6 @@ def _condense_round(graph: MultiCostGraph, params: BackboneParams) -> RoundResul
         )
         if not condensed.kept_nodes:
             continue  # a whole component: nothing to label toward
-        clusters.clusters_condensed += 1
         costed = [
             (u, v, cost)
             for u, v in condensed.removed_edges
@@ -504,11 +517,10 @@ def _condense_round(graph: MultiCostGraph, params: BackboneParams) -> RoundResul
         )
 
     strip.index.absorb(clusters.index, set(graph.nodes()))
-    return RoundResult(
+    return _Round(
         removed_nodes=strip.removed_nodes | clusters.removed_nodes,
         removed_edges=strip.removed_edges + clusters.removed_edges,
         index=strip.index,
-        clusters_condensed=clusters.clusters_condensed,
     )
 
 
@@ -598,7 +610,7 @@ def build_backbone_index(
                 work.restore_from(before_round)  # |G_{i+1}.V| must stay > 0
                 break
             level.absorb(outcome.index, set(work.nodes()))
-            removed += outcome.removed_edge_count
+            removed += len(outcome.removed_edges)
 
         aggressive_used = False
         wants_aggressive = params.aggressive is AggressiveMode.EACH or (

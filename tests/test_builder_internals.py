@@ -31,7 +31,7 @@ class TestLevelLoop:
         p = params()
         outcome = summarize_levels(work, p, required_edge_removals(network, p))
         assert len(outcome.levels) == len(outcome.level_stats)
-        assert len(outcome.levels) == len(outcome.level_provenance)
+        assert len(outcome.levels) == len(outcome.plans)
         assert outcome.final_graph is work
 
     def test_snapshots_on_request(self, network):
@@ -108,7 +108,7 @@ class TestLevelLoop:
         outcome = summarize_levels(
             network.copy(), p, required_edge_removals(network, p)
         )
-        assert all(not prov for prov in outcome.level_provenance)
+        assert all(not plan.provenance() for plan in outcome.plans)
 
     def test_required_edge_removals_floor(self):
         g = MultiCostGraph(2)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.builder import build_backbone_index
 from repro.core.maintenance import MaintainableIndex
 from repro.core.params import BackboneParams
 from repro.errors import EdgeNotFoundError, GraphError, NodeNotFoundError
 from repro.graph.generators import road_network
 from repro.graph.mcrn import MultiCostGraph
 from repro.paths.path import Path
+from repro.qa.invariants import index_identity_errors
 from repro.search.dijkstra import shortest_costs
 
 from tests.conftest import assert_valid_walk
@@ -116,8 +118,8 @@ class TestNodeOperations:
 
 class TestReplayEconomy:
     def test_deep_edge_update_avoids_full_rebuild(self):
-        """An update to an edge surviving into higher levels replays
-        only from that level."""
+        """A cost update to an edge surviving into higher levels is
+        repaired in place: no level replays."""
         m = make_maintainer(seed=118)
         index = m.index
         # pick an edge of a mid-level snapshot graph
@@ -133,9 +135,106 @@ class TestReplayEconomy:
         old = m.graph.edge_costs(u, v)[0]
         m.update_edge_cost(u, v, old, tuple(c * 2 for c in old))
         assert m.maintenance_stats.full_rebuilds == 0
-        assert m.maintenance_stats.levels_replayed >= 1
+        assert m.maintenance_stats.levels_replayed == 0
+        assert m.maintenance_stats.local_repairs == 1
         nodes = sorted(m.graph.nodes())
         check_query_sound(m, nodes[0], nodes[-1])
+
+    def test_local_repair_shares_untouched_levels(self):
+        m = make_maintainer(seed=119)
+        before = m.index
+        old_levels = list(before.levels)
+        # an original road first read above level 0
+        u, v = next(
+            pair for pair in sorted(m.graph.edge_pairs())
+            if m._reader_level({pair}) not in (None, 0)
+        )
+        old = m.graph.edge_costs(u, v)[0]
+        m.update_edge_cost(u, v, old, tuple(c * 1.25 for c in old))
+        assert m.maintenance_stats.local_repairs == 1
+        # The published index is new; levels below the edge are shared,
+        # and the old index's levels were not mutated.
+        assert m.index is not before
+        assert before.levels == old_levels
+        assert m.index.levels[0] is old_levels[0]
+
+    def test_rejected_update_changes_nothing(self):
+        m = make_maintainer(seed=120)
+        u, v = next(iter(m.graph.edge_pairs()))
+        index, generation = m.index, m.generation
+        with pytest.raises(EdgeNotFoundError):
+            m.update_edge_cost(u, v, (-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
+        with pytest.raises(GraphError):
+            old = m.graph.edge_costs(u, v)[0]
+            m.update_edge_cost(u, v, old, (float("nan"), 1.0, 1.0))
+        assert m.index is index and m.generation == generation
+
+    def test_index_without_levels_takes_every_update(self):
+        # K4 has nothing to condense, so the index keeps no level and
+        # no snapshot; updates re-derive only the graph and the top.
+        g = MultiCostGraph(2)
+        for u in range(4):
+            for v in range(u + 1, 4):
+                g.add_edge(u, v, (1.0 + u, 2.0 + v))
+        params = BackboneParams(m_max=8, m_min=1, p=0.1)
+        m = MaintainableIndex(g, params)
+        assert m.index.height == 0
+        m.update_edge_cost(0, 1, (1.0, 3.0), (2.0, 3.0))
+        m.delete_edge(2, 3)
+        m.insert_edge(2, 3, (1.0, 1.0))
+        fresh = build_backbone_index(m.graph, params)
+        assert index_identity_errors(fresh, m.index) == []
+
+
+class TestShortcutResurrection:
+    """Regression: a summarization shortcut dominated by a parallel edge
+    was never stored in the level graph, and cost updates and deletes
+    mutated only the edge in the kept snapshots, so the shortcut never
+    came back.  Snapshots now re-derive a touched pair as the skyline of
+    the costs carried from below and the level's recorded shortcuts.
+    """
+
+    GRAPH = dict(n=300, dim=3, seed=171)
+    WIDE = BackboneParams(m_max=40, m_min=4, p=0.12)
+    NARROW = BackboneParams(m_max=25, m_min=4, p=0.05)
+
+    def maintainer(self, params):
+        graph = road_network(
+            self.GRAPH["n"], dim=self.GRAPH["dim"], seed=self.GRAPH["seed"]
+        )
+        return MaintainableIndex(graph, params)
+
+    def assert_fresh(self, m, params):
+        fresh = build_backbone_index(m.graph, params)
+        assert index_identity_errors(fresh, m.index) == []
+
+    def scale(self, m, u, v, factor):
+        old = m.graph.edge_costs(u, v)[0]
+        m.update_edge_cost(u, v, old, tuple(c * factor for c in old))
+
+    def test_costlier_edge_brings_back_its_shortcut(self):
+        m = self.maintainer(self.WIDE)
+        self.scale(m, 4, 165, 2.0)
+        costs = m._snapshots[2].edge_costs(4, 165)
+        assert len(costs) == 2
+        assert (4, 10, 165) in {
+            m.index.provenance[(4, 165, cost)]
+            for cost in costs
+            if (4, 165, cost) in m.index.provenance
+        }
+        self.assert_fresh(m, self.WIDE)
+
+    def test_costlier_edge_brings_back_its_shortcut_higher_up(self):
+        m = self.maintainer(self.NARROW)
+        self.scale(m, 20, 99, 1.25)
+        assert len(m._snapshots[3].edge_costs(20, 99)) == 2
+        self.assert_fresh(m, self.NARROW)
+
+    def test_deleted_edge_leaves_its_shortcut(self):
+        m = self.maintainer(self.WIDE)
+        m.delete_edge(4, 165)
+        [cost] = m._snapshots[2].edge_costs(4, 165)
+        assert m.index.provenance[(4, 165, cost)] == (4, 10, 165)
 
 
 class TestSnapshotPropagation:

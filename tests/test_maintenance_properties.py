@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.builder import build_backbone_index
 from repro.core.maintenance import MaintainableIndex
 from repro.core.params import BackboneParams
+from repro.graph.generators import road_network
 from repro.graph.mcrn import MultiCostGraph
+from repro.qa.invariants import index_identity_errors
 from repro.search.dijkstra import shortest_costs
 
 
@@ -111,3 +114,55 @@ def test_maintained_equals_fresh_build_quality(rungs):
     assert (maintained_best is None) == (fresh_best is None)
     if maintained_best is not None:
         assert maintained_best == pytest.approx(fresh_best, rel=0.5)
+
+
+# The two parameter sets of the shortcut-resurrection regressions.
+CONTRACT_PARAMS = (
+    BackboneParams(m_max=40, m_min=4, p=0.12),
+    BackboneParams(m_max=25, m_min=4, p=0.05),
+)
+
+cost_updates = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=10_000),
+        st.sampled_from([0.5, 0.8, 1.25, 2.0]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    nodes=st.integers(min_value=200, max_value=400),
+    dim=st.integers(min_value=2, max_value=3),
+    seed=st.integers(min_value=0, max_value=500),
+    params_set=st.sampled_from([0, 1]),
+    updates=cost_updates,
+)
+# road_network(300, dim=3, seed=171): pair 13 is (4, 165), pair 52 is
+# (20, 99) — the edges whose dearer cost must bring back a shortcut.
+@example(nodes=300, dim=3, seed=171, params_set=0, updates=[(13, 2.0)])
+@example(nodes=300, dim=3, seed=171, params_set=1, updates=[(52, 1.25)])
+def test_cost_updates_keep_index_identical_to_fresh_build(
+    nodes, dim, seed, params_set, updates
+):
+    """After every cost-only update the maintained index is the index a
+    fresh build of the updated network gives: labels, top graph,
+    provenance, level statistics and the top graph's CSR arrays."""
+    params = CONTRACT_PARAMS[params_set]
+    maintainer = MaintainableIndex(
+        road_network(nodes, dim=dim, seed=seed), params
+    )
+    pairs = sorted(maintainer.graph.edge_pairs())
+    for choice, factor in updates:
+        u, v = pairs[choice % len(pairs)]
+        old = maintainer.graph.edge_costs(u, v)[0]
+        maintainer.update_edge_cost(u, v, old, tuple(c * factor for c in old))
+        fresh = build_backbone_index(maintainer.graph, params)
+        assert index_identity_errors(fresh, maintainer.index) == [], (u, v)
+

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.core import BackboneParams, build_backbone_index
+from repro.core.maintenance import MaintainableIndex
 from repro.core.query import (
     QueryStats,
     _connect_through_top,
@@ -24,6 +25,8 @@ from repro.obs import Tracer, chrome_trace, use_tracer
 from repro.paths.frontier import PathSet
 from repro.service.batch import execute_batch
 from repro.service.engine import SkylineQueryEngine
+
+REPAIR_PARAMS = BackboneParams(m_max=40, m_min=4, p=0.12)
 
 QUERY_PHASES = (
     "query.phase.grow_s", "query.phase.grow_t", "query.phase.connect_top",
@@ -177,6 +180,58 @@ class TestTracedBuild:
             index.levels
         ) + 1  # a final no-progress level probe may be traced too
         assert roots[0].attrs["levels"] == len(index.levels)
+
+
+class TestTracedRepair:
+    """A cost update repairs under one ``build.repair`` span."""
+
+    @staticmethod
+    def repaired(graph, factor, pick):
+        maintainer = MaintainableIndex(graph, REPAIR_PARAMS)
+        u, v = pick(maintainer)
+        old = maintainer.graph.edge_costs(u, v)[0]
+        tracer = Tracer()
+        with use_tracer(tracer):
+            maintainer.update_edge_cost(
+                u, v, old, tuple(c * factor for c in old)
+            )
+        return maintainer, tracer.roots()
+
+    def test_local_repair_span(self, small_road_network):
+        maintainer, [root] = self.repaired(
+            small_road_network, 1.01,
+            lambda m: sorted(m.graph.edge_pairs())[0],
+        )
+        assert root.name == "build.repair"
+        assert root.attrs["fallback"] == "none"
+        assert root.attrs["pieces_rerun"] >= 1
+        assert root.attrs["levels_touched"] >= 1
+        assert 0 <= root.attrs["level"] <= maintainer.index.height
+        # a local repair replays no level
+        assert not any(s.name == "build.level" for s, _ in root.walk())
+        stats = maintainer.maintenance_stats
+        assert (stats.local_repairs, stats.levels_replayed) == (1, 0)
+        assert stats.full_rebuilds == 0
+
+    def test_fallback_span_names_the_reason(self, small_road_network):
+        # Give a road a parallel twin, then make the road dominate it:
+        # level 0's entry count changes, so the repair rebuilds.
+        graph = small_road_network.copy()
+        u, v = sorted(graph.edge_pairs())[0]
+        a, b, c = graph.edge_costs(u, v)[0]
+        graph.add_edge(u, v, (2 * a, b / 2, c))
+        maintainer, [root, *rebuild] = self.repaired(
+            graph, 0.4, lambda m: (u, v)
+        )
+        assert root.name == "build.repair"
+        assert root.attrs["fallback"] == "entry_count"
+        assert root.attrs["level"] == 0
+        # the rebuild runs after the repair span closes, so the span
+        # times the repair alone on both paths
+        assert not any(s.name == "build.level" for s, _ in root.walk())
+        assert rebuild and all(s.name == "build.level" for s in rebuild)
+        stats = maintainer.maintenance_stats
+        assert (stats.local_repairs, stats.full_rebuilds) == (0, 1)
 
 
 class TestBatchThreadIsolation:

@@ -2,11 +2,27 @@
 
 from __future__ import annotations
 
+from repro.core.builder import LevelPlan
+from repro.core.labels import LevelIndex, record_label_rows
 from repro.core.segments import condense_segments, find_single_segments
 from repro.graph.mcrn import MultiCostGraph
 from repro.graph.traversal import connected_components
 
 from tests.conftest import assert_valid_walk
+
+
+def segment_labels(result) -> LevelIndex:
+    """The condensed segments' label rows as a level index."""
+    index = LevelIndex()
+    for piece in result.pieces:
+        record_label_rows(index, piece.rows)
+    return index
+
+
+def shortcut_count(result) -> int:
+    return sum(
+        len(piece.shortcut_costs) for piece in result.pieces if piece.has_shortcut
+    )
 
 
 def add_k4(g: MultiCostGraph, base: int) -> None:
@@ -108,7 +124,7 @@ class TestCondense:
         g = barbell(3)
         original = g.copy()
         result = condense_segments(g, find_single_segments(g))
-        label = result.index.get(11)
+        label = segment_labels(result).get(11)
         assert label is not None
         assert set(label.entrances) == {0, 100}
         for entrance, paths in label.entrances.items():
@@ -119,7 +135,8 @@ class TestCondense:
     def test_provenance_records_chain(self):
         g = barbell(2)
         result = condense_segments(g, find_single_segments(g))
-        [(key, sequence)] = list(result.provenance.items())
+        provenance = LevelPlan(segments=result.pieces).provenance()
+        [(key, sequence)] = list(provenance.items())
         u, w, cost = key
         assert {u, w} == {0, 100}
         assert set(sequence) >= {10, 11}
@@ -141,7 +158,7 @@ class TestCondense:
         result = condense_segments(g, find_single_segments(g))
         costs = sorted(g.edge_costs(0, 100))
         assert costs == [(2.0, 10.0), (10.0, 2.0)]
-        assert len(result.shortcuts) == 2
+        assert shortcut_count(result) == 2
 
     def test_removed_edges_reported_with_costs(self):
         g = barbell(2)
@@ -160,8 +177,9 @@ class TestCondense:
         assert result.removed_nodes == {10, 11}
         assert not g.has_node(10)
         assert not g.has_edge(0, 0) if g.has_node(0) else True
+        labels = segment_labels(result)
         for node in (10, 11):
-            label = result.index.get(node)
+            label = labels.get(node)
             assert label is not None
             assert set(label.entrances) == {0}
 
@@ -178,4 +196,4 @@ class TestCondense:
         costs = sorted(g.edge_costs(0, 100))
         assert (1.0, 1.0) in costs
         assert (10.0, 0.2) in costs  # incomparable: survives
-        assert len(result.shortcuts) == 1
+        assert shortcut_count(result) == 1

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from repro.core.labels import LevelIndex, record_label_rows
 from repro.core.params import BackboneParams
 from repro.core.summarize import (
     bfs_partitions,
     condense_round,
+    fold_round,
     strip_degree_one,
 )
 from repro.graph.generators import road_network
@@ -26,6 +28,13 @@ def lollipop() -> MultiCostGraph:
     return g
 
 
+def strip_labels(result) -> LevelIndex:
+    """The strip pass's priced rows as a level index."""
+    index = LevelIndex()
+    record_label_rows(index, result.plan.strip_rows)
+    return index
+
+
 class TestStripDegreeOne:
     def test_removes_the_tail(self):
         g = lollipop()
@@ -37,9 +46,9 @@ class TestStripDegreeOne:
     def test_labels_point_to_surviving_anchor(self):
         g = lollipop()
         original = g.copy()
-        result = strip_degree_one(g)
+        labels = strip_labels(strip_degree_one(g))
         for node in (10, 11, 12):
-            label = result.index.get(node)
+            label = labels.get(node)
             assert label is not None
             assert set(label.entrances) == {3}
             for p in label.paths_to(3):
@@ -48,8 +57,7 @@ class TestStripDegreeOne:
 
     def test_label_costs_accumulate_along_chain(self):
         g = lollipop()
-        result = strip_degree_one(g)
-        [p] = result.index.get(12).paths_to(3)
+        [p] = strip_labels(strip_degree_one(g)).get(12).paths_to(3)
         assert p.cost == (6.0, 6.0)
         assert p.nodes == (12, 11, 10, 3)
 
@@ -59,8 +67,7 @@ class TestStripDegreeOne:
             g.add_edge(u, v, (1.0, 1.0))
         g.add_edge(0, 10, (1.0, 9.0))
         g.add_edge(0, 10, (9.0, 1.0))
-        result = strip_degree_one(g)
-        paths = result.index.get(10).paths_to(0)
+        paths = strip_labels(strip_degree_one(g)).get(10).paths_to(0)
         assert sorted(p.cost for p in paths) == [(1.0, 9.0), (9.0, 1.0)]
 
     def test_no_degree_one_noop(self):
@@ -121,10 +128,11 @@ class TestCondenseRound:
         g = road_network(400, dim=3, seed=74)
         original = g.copy()
         result = condense_round(g, BackboneParams(m_max=40, m_min=5))
+        labels = fold_round(result.plan)
         surviving = set(g.nodes())
         labelled = 0
         for node in result.removed_nodes:
-            label = result.index.get(node)
+            label = labels.get(node)
             if label is None:
                 continue  # unreachable via removed edges: acceptable, rare
             labelled += 1
@@ -137,9 +145,10 @@ class TestCondenseRound:
         g = road_network(300, dim=3, seed=75)
         original = g.copy()
         result = condense_round(g, BackboneParams(m_max=30, m_min=5))
+        labels = fold_round(result.plan)
         checked = 0
-        for node in list(result.index.nodes())[:40]:
-            label = result.index.get(node)
+        for node in list(labels.nodes())[:40]:
+            label = labels.get(node)
             for entrance, paths in label.entrances.items():
                 for p in paths:
                     assert p.source == node and p.target == entrance
