@@ -4,9 +4,16 @@ The paper's BBS inherits landmark lower bounds from [29]; [45] replaced
 them with exact reverse-Dijkstra bounds.  This ablation quantifies the
 trade-off on the scaled C9_NY stand-in: expansions and wall time for
 BBS under exact bounds — the dict reverse Dijkstra of the reference
-provider and the served default, the same values computed over the CSR
-snapshot — landmark bounds (the paper's choice, amortized across
-queries), and no bounds at all.
+provider, and the served search, which computes the same values over
+the CSR snapshot — landmark bounds (the paper's choice, amortized
+across queries), and no bounds at all.
+
+Production takes no bound provider, so the provider rows run the
+reference loop of :mod:`repro.qa.reference` (``bounds=``); only the
+"served" row runs production.  The reference seeds every row from
+exact tables whatever provider prunes, so the provider rows' times
+compare with each other, and the served row's time with the exact
+provider row's (same work, dict loop vs CSR kernel).
 """
 
 from __future__ import annotations
@@ -18,9 +25,14 @@ import pytest
 from repro.accel.csr import CSRSnapshot
 from repro.datasets import load_subgraph
 from repro.eval import fmt_seconds, format_table, random_queries
+from repro.qa import reference
+from repro.qa.bounds import (
+    ExactBounds,
+    LandmarkIndex,
+    LandmarkLowerBounds,
+    ZeroBounds,
+)
 from repro.search.bbs import skyline_paths
-from repro.search.bounds import ExactBounds, LandmarkLowerBounds, ZeroBounds
-from repro.search.landmark import LandmarkIndex
 
 from benchmarks.conftest import report
 
@@ -32,28 +44,29 @@ def bounds_data():
     landmark_index = LandmarkIndex(graph, 8)
     snapshot = CSRSnapshot.from_graph(graph)
 
-    providers = {
-        "exact (reverse Dijkstra)": lambda q: ExactBounds(graph, [q.target]),
-        # None: the search's own exact matrix over the snapshot.
-        "exact (CSR snapshot, served)": lambda q: None,
-        "landmark (8 landmarks)": lambda q: LandmarkLowerBounds(
-            landmark_index, [q.target]
+    def provider(factory):
+        return lambda q: reference.skyline_paths(
+            graph, q.source, q.target, bounds=factory(q), time_budget=120.0
+        )
+
+    arms = {
+        "exact (reverse Dijkstra)": provider(
+            lambda q: ExactBounds(graph, [q.target])
         ),
-        "none (zero bounds)": lambda q: ZeroBounds(graph.dim),
+        "exact (CSR snapshot, served)": lambda q: skyline_paths(
+            graph, q.source, q.target, time_budget=120.0, snapshot=snapshot
+        ),
+        "landmark (8 landmarks)": provider(
+            lambda q: LandmarkLowerBounds(landmark_index, [q.target])
+        ),
+        "none (zero bounds)": provider(lambda q: ZeroBounds(graph.dim)),
     }
     data = {}
-    for name, factory in providers.items():
+    for name, run in arms.items():
         expansions, seconds, sizes = 0, 0.0, 0
         for q in queries:
             started = time.perf_counter()
-            result = skyline_paths(
-                graph,
-                q.source,
-                q.target,
-                bounds=factory(q),
-                time_budget=120.0,
-                snapshot=snapshot,
-            )
+            result = run(q)
             seconds += time.perf_counter() - started
             expansions += result.stats.expansions
             sizes += len(result.paths)
@@ -90,8 +103,9 @@ def test_exact_bounds_prune_most(bounds_data):
 
 
 def test_served_bounds_prune_like_exact(bounds_data):
-    # The snapshot matrix holds the provider's values bit for bit, so
-    # the search must do exactly the same work.
+    # The snapshot matrix holds the provider's values bit for bit and
+    # both searches seed by the same walk, so they must do exactly the
+    # same work.
     exact = bounds_data["exact (reverse Dijkstra)"]["expansions"]
     served = bounds_data["exact (CSR snapshot, served)"]["expansions"]
     assert served == exact
@@ -115,7 +129,9 @@ def test_bounds_benchmark(benchmark, bounds_data):
     [q] = random_queries(graph, 1, seed=98, min_hops=12)
     bounds = ExactBounds(graph, [q.target])
     result = benchmark.pedantic(
-        lambda: skyline_paths(graph, q.source, q.target, bounds=bounds),
+        lambda: reference.skyline_paths(
+            graph, q.source, q.target, bounds=bounds
+        ),
         rounds=3,
         iterations=1,
     )

@@ -389,141 +389,6 @@ def test_fig10_fuse_crossover(workload_seed, monkeypatch):
     record_telemetry("batch", fuse_crossover=series)
 
 
-def test_fig10_bound_providers(ny_small, workload_seed, monkeypatch):
-    """Bound A/B at the kernel level: exact vs landmark bound matrices.
-
-    Independent of the quality grid (selectable with ``-k
-    bound_providers``).  The fig10 workload on ny_small runs through
-    both exact kernels twice: the per-query flat kernel and one fused
-    batch call, each once with the exact reverse-Dijkstra matrices the
-    engine serves and once with landmark ALT matrices (8 landmarks
-    over the original graph, their build timed separately as the
-    set-up the engine no longer pays).  The fused landmark arm swaps
-    the kernel's bound routine for the landmark matrix and seeds with
-    per-dimension shortest paths, as the fused path used to with
-    landmark bounds.  Rounds alternate the arms; every arm must return
-    the same answer sets.  ``BENCH_bench_fig10_query_time.json``
-    ``bound_providers`` records time and expansions per arm.
-    """
-    import statistics
-    import time
-
-    from repro.accel import batch_kernel
-    from repro.accel.bounds import landmark_bound_matrix
-    from repro.accel.csr import CSRSnapshot
-    from repro.eval import fmt_seconds, format_table, random_queries
-    from repro.search import skyline_paths
-    from repro.search.bounds import LandmarkLowerBounds
-    from repro.search.dijkstra import per_dimension_shortest_paths
-    from repro.search.landmark import LandmarkIndex
-
-    graph = ny_small
-    snapshot = CSRSnapshot.from_graph(graph)
-    started = time.perf_counter()
-    landmarks = LandmarkIndex(graph, 8, csr=snapshot)
-    landmark_build_seconds = time.perf_counter() - started
-    pairs = [
-        (q.source, q.target)
-        for q in random_queries(graph, 6, seed=workload_seed, min_hops=10)
-    ]
-
-    def flat(bounds):
-        def run():
-            return [
-                skyline_paths(
-                    graph, s, t, snapshot=snapshot,
-                    bounds=(
-                        LandmarkLowerBounds(landmarks, [t])
-                        if bounds == "landmark" else None
-                    ),
-                )
-                for s, t in pairs
-            ]
-        return run
-
-    def fused(bounds):
-        def run():
-            if bounds == "exact":
-                return batch_kernel.fused_skyline_batch(graph, snapshot, pairs)
-            with monkeypatch.context() as patch:
-                patch.setattr(
-                    batch_kernel, "exact_bound_matrix",
-                    lambda snap, targets: landmark_bound_matrix(
-                        landmarks, snap, targets
-                    ),
-                )
-                patch.setattr(
-                    batch_kernel, "_seed_paths_from_bounds",
-                    lambda snap, matrix, src, dst, node_ids: (
-                        per_dimension_shortest_paths(
-                            graph, node_ids[src], node_ids[dst]
-                        )
-                    ),
-                )
-                return batch_kernel.fused_skyline_batch(graph, snapshot, pairs)
-        return run
-
-    arms = {
-        (kernel, bounds): make(bounds)
-        for kernel, make in (("flat", flat), ("fused", fused))
-        for bounds in ("exact", "landmark")
-    }
-
-    def answers(results):
-        return [sorted((p.cost, p.nodes) for p in r.paths) for r in results]
-
-    baseline = None
-    expansions = {}
-    for arm, run in arms.items():  # warm-up doubles as the equality check
-        results = run()
-        expansions[arm] = sum(r.stats.expansions for r in results)
-        if baseline is None:
-            baseline = answers(results)
-        assert answers(results) == baseline, arm
-    times = {arm: [] for arm in arms}
-    for _ in range(5):
-        for arm, run in arms.items():
-            started = time.perf_counter()
-            run()
-            times[arm].append(time.perf_counter() - started)
-
-    rows = []
-    doc: dict = {
-        "graph": "ny_small",
-        "queries": len(pairs),
-        "rounds": 5,
-        "landmark_build_seconds": landmark_build_seconds,
-    }
-    for (kernel, bounds), series in times.items():
-        median = statistics.median(series)
-        exact_median = statistics.median(times[(kernel, "exact")])
-        doc.setdefault(kernel, {})[bounds] = {
-            "median_seconds": median,
-            "seconds": series,
-            "expansions": expansions[(kernel, bounds)],
-        }
-        rows.append([
-            kernel,
-            bounds,
-            fmt_seconds(median),
-            f"{expansions[(kernel, bounds)]:,}",
-            f"{median / exact_median:.2f}x",
-        ])
-    report(
-        "fig10_bound_providers",
-        format_table(
-            ["kernel", "bounds", "median workload", "expansions",
-             "time vs exact"],
-            rows,
-            title=(
-                "Figure 10 extension: exact vs landmark bound matrices "
-                f"(landmark build {fmt_seconds(landmark_build_seconds)})"
-            ),
-        ),
-    )
-    record_telemetry("bench_fig10_query_time", bound_providers=doc)
-
-
 def test_fig10_bbs_benchmark(benchmark, fig10_report, ny_small):
     """Times the exact BBS baseline on one mid-length query."""
     from repro.eval import random_queries

@@ -6,8 +6,8 @@ Cao.  The package provides:
 * :mod:`repro.graph` — the multi-cost road network substrate,
   generators, and DIMACS I/O;
 * :mod:`repro.paths` — paths, dominance, Pareto frontiers;
-* :mod:`repro.search` — exact algorithms (Dijkstra, landmarks, BBS,
-  m_BBS, one-to-all skyline);
+* :mod:`repro.search` — exact algorithms (Dijkstra, A*, BBS, m_BBS,
+  one-to-all skyline);
 * :mod:`repro.core` — the backbone index (construction, querying,
   maintenance), the paper's primary contribution;
 * :mod:`repro.baselines` — GTree and CH adapted to skyline paths, plus
@@ -68,12 +68,7 @@ from repro.graph import (
 )
 from repro.obs import Tracer, get_tracer, set_tracer, use_tracer
 from repro.paths import Path, PathSet, dominates, skyline_of
-from repro.search import (
-    LandmarkIndex,
-    many_to_many_skyline,
-    one_to_all_skyline,
-    skyline_paths,
-)
+from repro.search import many_to_many_skyline, one_to_all_skyline, skyline_paths
 from repro.store import Snapshotter, load_index, save_index
 
 __version__ = "1.0.0"
@@ -89,7 +84,6 @@ __all__ = [
     "DimensionMismatchError",
     "EdgeNotFoundError",
     "GraphError",
-    "LandmarkIndex",
     "MaintainableIndex",
     "MultiCostGraph",
     "NodeNotFoundError",

@@ -1,9 +1,9 @@
 """Flat and batch array kernels for skyline search.
 
 The package freezes a :class:`~repro.graph.mcrn.MultiCostGraph` into an
-immutable CSR snapshot (:mod:`repro.accel.csr`), materializes lower
-bounds into dense matrices (:mod:`repro.accel.bounds`), and runs the
-BBS/m_BBS/one-to-all hot loops over those arrays:
+immutable CSR snapshot (:mod:`repro.accel.csr`), computes BBS's exact
+bound matrix and reads its seeds off it (:mod:`repro.accel.bounds`),
+and runs the BBS/m_BBS/one-to-all hot loops over those arrays:
 
 * :mod:`repro.accel.bbs_kernel` and :mod:`repro.accel.onetoall_kernel`
   — the production kernel of every search, scalar flat loops
@@ -19,11 +19,7 @@ See ``docs/acceleration.md``.
 from repro.accel.batch_kernel import fused_skyline_batch
 from repro.accel.bbs_kernel import flat_many_to_many, flat_skyline_paths
 from repro.accel.blob import pack_bytes, pack_nbytes, read_pack, write_pack
-from repro.accel.bounds import (
-    exact_bound_matrix,
-    landmark_bound_matrix,
-    materialize_bound_matrix,
-)
+from repro.accel.bounds import exact_bound_matrix
 from repro.accel.csr import CSRSnapshot
 from repro.accel.onetoall_kernel import flat_label_rows, flat_one_to_all
 
@@ -35,8 +31,6 @@ __all__ = [
     "flat_one_to_all",
     "flat_skyline_paths",
     "fused_skyline_batch",
-    "landmark_bound_matrix",
-    "materialize_bound_matrix",
     "pack_bytes",
     "pack_nbytes",
     "read_pack",

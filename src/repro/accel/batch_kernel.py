@@ -45,8 +45,12 @@ several equal-cost witnesses survives depends on expansion order.  The
 qa harness therefore checks fused answers for answer-set equality
 (:func:`repro.qa.invariants.answer_set_errors`).
 
-The wall-clock budget is checked once per bucket, and
-``max_expansions`` is enforced at bucket granularity, so a run may
+Every query's result set starts from the per-dimension shortest paths
+read off its exact bound matrix
+(:func:`~repro.accel.bounds.seed_paths_from_bounds`), the walk the flat
+kernel and the reference take, so all three start from the same seeds.
+
+The wall-clock budget is checked once per bucket, so a run may
 overshoot it by at most one bucket.
 """
 
@@ -59,7 +63,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.accel.bounds import exact_bound_matrix
+from repro.accel.bounds import exact_bound_matrix, seed_paths_from_bounds
 from repro.accel.csr import CSRSnapshot
 from repro.errors import NodeNotFoundError
 from repro.graph.mcrn import MultiCostGraph
@@ -72,63 +76,6 @@ from repro.paths.vector_frontier import VectorParetoSet
 FUSED_BUCKET_SIZE = 256
 
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-def _seed_paths_from_bounds(
-    snapshot: CSRSnapshot,
-    bound_mat: np.ndarray,
-    src: int,
-    dst: int,
-    node_ids: list[int],
-) -> list[Path]:
-    """Per-dimension shortest paths read off an exact bound matrix.
-
-    The exact reverse-Dijkstra bound matrix already encodes every
-    per-dimension shortest-path tree: from any node ``u``, the next hop
-    of dimension ``k``'s shortest path is the out-slot minimizing
-    ``w_k(u, v) + B[v, k]`` (Bellman optimality), and with positive
-    edge costs ``B[·, k]`` strictly decreases along the walk, so the
-    descent reaches ``dst`` in at most ``n`` hops.  This replaces the
-    three python-dict Dijkstras of
-    :func:`~repro.search.dijkstra.per_dimension_shortest_paths` with a
-    ~path-length walk over arrays — the bound matrix is needed anyway.
-
-    The returned cost vectors accumulate edge costs in walk order with
-    float64 adds, bit-identical to what the search itself would compute
-    for the same walk.  Tie-breaking among equally short walks may
-    differ from the dict Dijkstra — an equal-cost-alternate divergence
-    the batch tier's contract already permits.
-    """
-    dim = snapshot.dim
-    n = snapshot.num_nodes
-    indptr = snapshot.indptr
-    indices = snapshot.indices
-    cost_mat = snapshot.costs
-    paths: list[Path] = []
-    for k in range(dim):
-        if not np.isfinite(bound_mat[src, k]):
-            continue
-        walk = [node_ids[src]]
-        total = np.zeros(dim, dtype=np.float64)
-        u = src
-        for _ in range(n):
-            lo, hi = int(indptr[u]), int(indptr[u + 1])
-            if lo == hi:
-                break
-            weights = cost_mat[lo:hi]
-            slot = int(
-                np.argmin(weights[:, k] + bound_mat[indices[lo:hi], k])
-            )
-            total += weights[slot]
-            u = int(indices[lo + slot])
-            walk.append(node_ids[u])
-            if u == dst:
-                paths.append(Path(walk, tuple(total.tolist())))
-                break
-        # A walk that ran out of hops (possible only with zero-cost
-        # cycles) is dropped: seeds are a pruning aid, never required
-        # for correctness.
-    return paths
 
 
 def _all_le(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -382,9 +329,7 @@ def fused_skyline_batch(
     snapshot: CSRSnapshot,
     queries: Sequence[tuple[int, int]],
     *,
-    seed_with_shortest_paths: bool = True,
     time_budget: float | None = None,
-    max_expansions: int | None = None,
 ):
     """One shared bucket traversal for a whole batch of 1-to-1 queries.
 
@@ -413,10 +358,11 @@ def fused_skyline_batch(
     differ, counters may differ).
 
     Every query is bounded by exact reverse Dijkstra to its target,
-    computed once per distinct target in the batch.
-    ``time_budget`` and ``max_expansions`` cap the *whole batch*; on
-    expiry every query's stats report ``timed_out`` (the shared
-    traversal cannot attribute the shortfall).  Returns one
+    computed once per distinct target in the batch, and seeded with the
+    per-dimension shortest paths read off the same matrix.
+    ``time_budget`` caps the *whole batch*; on expiry every query's
+    stats report ``timed_out`` (the shared traversal cannot attribute
+    the shortfall).  Returns one
     :class:`~repro.search.bbs.SkylineResult` per query, positionally.
     """
     from repro.search.bbs import SearchStats, SkylineResult
@@ -490,14 +436,13 @@ def fused_skyline_batch(
         return False
 
     for q, (source, target) in enumerate(queries):
-        if seed_with_shortest_paths and source != target:
+        if source != target:
             # Exact bound matrices double as shortest-path trees.
-            seeds = _seed_paths_from_bounds(
+            seeds = seed_paths_from_bounds(
                 snapshot,
                 bound_stack[q],
                 snapshot.dense_of(source),
                 int(dst[q]),
-                node_ids,
             )
             for path in seeds:
                 record_hit(q, path, path.cost)
@@ -539,15 +484,11 @@ def fused_skyline_batch(
         heapq.heappush(heaps[q], (sum(projected), idx))
 
     timed_out = False
-    total_expansions = 0
     dst_list = dst.tolist()
     while any(heaps):
         if time_budget is not None and (
             time.perf_counter() - start_time > time_budget
         ):
-            timed_out = True
-            break
-        if max_expansions is not None and total_expansions >= max_expansions:
             timed_out = True
             break
 
@@ -604,7 +545,6 @@ def fused_skyline_batch(
             for p in np.nonzero(hits & seg_live)[0].tolist():
                 i = lo + p
                 stats.expansions += 1
-                total_expansions += 1
                 cost = tuple(costs[i].tolist())
                 if record_hit(q, bucket_idx[i], cost):
                     found = True
@@ -615,7 +555,6 @@ def fused_skyline_batch(
                 tail &= ~redom
             expanded = int(tail.sum())
             stats.expansions += expanded
-            total_expansions += expanded
             expand_mask[seg] = tail
         if not expand_mask.any():
             continue

@@ -10,7 +10,8 @@ dict machinery swapped for flat, slot-indexed state:
 * BBS lower bounds come from a dense ``(n, dim)`` matrix built once
   per search (:mod:`repro.accel.bounds`, array Dijkstra) and flattened
   to per-node tuples, so the two bound probes per label (push and pop)
-  are list indexing instead of per-dimension dict probes;
+  are list indexing instead of per-dimension dict probes; the same
+  matrix yields the per-dimension shortest-path seeds;
 * the BBS result-set dominance prune runs as an inlined early-exit
   loop with a 2-D fast path, and labels are only allocated for
   candidates that survive every prune;
@@ -21,8 +22,8 @@ NumPy is deliberately kept *out* of the per-expansion path: road
 networks average 2–3 outgoing slots per node, and dispatching array
 operations on batches that small costs more than the python loop it
 replaces (measured on the benchmark workloads).  The arrays earn their
-keep building the bound matrices and landmark tables, where the batch
-is the whole node set.
+keep building the bound matrices, where the batch is the whole node
+set.
 
 Bit-identity with the reference is a hard requirement (enforced by
 ``repro.qa`` and the property tests): candidate costs are produced by
@@ -41,15 +42,13 @@ import itertools
 import time
 from collections.abc import Sequence
 
-from repro.accel.bounds import exact_bound_matrix, materialize_bound_matrix
+from repro.accel.bounds import exact_bound_matrix, seed_paths_from_bounds
 from repro.accel.csr import CSRSnapshot
 from repro.errors import NodeNotFoundError
 from repro.graph.mcrn import MultiCostGraph
 from repro.paths.dominance import dominates_or_equal
 from repro.paths.frontier import ParetoSet, PathSet
 from repro.paths.path import Path
-from repro.search.bounds import LowerBoundProvider
-from repro.search.dijkstra import per_dimension_shortest_paths
 from repro.search.labels import Label, NodeFrontier
 
 _INF = float("inf")
@@ -72,29 +71,27 @@ def _to_original_path(label: Label, node_ids: list[int]) -> Path:
 
 
 def flat_skyline_paths(
-    graph: MultiCostGraph,
     snapshot: CSRSnapshot,
     source: int,
     target: int,
     *,
-    bounds: LowerBoundProvider | None = None,
     seed_with_shortest_paths: bool = True,
     time_budget: float | None = None,
-    max_expansions: int | None = None,
     node_mask: Sequence[bool] | None = None,
     seed_paths=None,
 ):
-    """Exact BBS over the snapshot; mirrors ``_skyline_paths_impl``.
+    """Exact BBS over the snapshot; mirrors the reference's BBS loop.
 
     The caller (:func:`repro.search.bbs.skyline_paths`) has already
     validated the endpoints and handled the trivial ``source == target``
-    case; ``graph`` is only consulted for result seeding.  ``node_mask``
-    is a dense boolean restriction over the snapshot's node space
-    (corridor search); masked-out neighbors are skipped before any cost
-    arithmetic — the same point the reference loop applies its
-    membership check — so restricted runs stay bit-identical.  Without
-    ``bounds`` the search is bounded by exact reverse Dijkstra inside
-    the mask (the whole graph when unrestricted).
+    case.  ``node_mask`` is a dense boolean restriction over the
+    snapshot's node space (corridor search); masked-out neighbors are
+    skipped before any cost arithmetic — the same point the reference
+    loop applies its membership check — so restricted runs stay
+    bit-identical.  One exact reverse-Dijkstra matrix, taken inside the
+    mask (the whole graph when unrestricted), supplies both the pruning
+    bounds and the per-dimension shortest-path seeds, so the seeds stay
+    inside the restriction too.
     """
     from repro.search.bbs import SearchStats, SkylineResult
 
@@ -108,22 +105,20 @@ def flat_skyline_paths(
     dim = snapshot.dim
     src = snapshot.dense_of(source)
     dst = snapshot.dense_of(target)
-    if bounds is None:
-        # The restricted search enters only masked nodes (plus its
-        # source), so reverse Dijkstra inside that set bounds it.
-        bound_mask = node_mask
-        if bound_mask is not None and not bound_mask[src]:
-            bound_mask = list(bound_mask)
-            bound_mask[src] = True
-        bound_rows = _bound_rows(
-            exact_bound_matrix(snapshot, [dst], node_mask=bound_mask)
-        )
-    else:
-        bound_rows = _bound_rows(materialize_bound_matrix(bounds, snapshot))
+    # The restricted search enters only masked nodes (plus its source),
+    # so reverse Dijkstra inside that set bounds it.
+    bound_mask = node_mask
+    if bound_mask is not None and not bound_mask[src]:
+        bound_mask = list(bound_mask)
+        bound_mask[src] = True
+    bound_mat = exact_bound_matrix(snapshot, [dst], node_mask=bound_mask)
+    bound_rows = _bound_rows(bound_mat)
 
     results = PathSet()
-    if seed_with_shortest_paths:
-        results.add_all(per_dimension_shortest_paths(graph, source, target))
+    # A target outside the restriction is unreachable for the search,
+    # so it gets no seeds either.
+    if seed_with_shortest_paths and (node_mask is None or node_mask[dst]):
+        results.add_all(seed_paths_from_bounds(snapshot, bound_mat, src, dst))
     if seed_paths is not None:
         results.add_all(seed_paths)
     res_costs = results.costs()
@@ -188,9 +183,6 @@ def flat_skyline_paths(
                 stats.timed_out = True
                 break
         loop_count += 1
-        if max_expansions is not None and stats.expansions >= max_expansions:
-            stats.timed_out = True
-            break
 
         _, _, label = heapq.heappop(heap)
         node = label.node

@@ -1,23 +1,19 @@
-"""Dense lower-bound matrices over CSR snapshots.
+"""The exact bound matrix: BBS's pruning bounds and its result seeds.
 
-The reference loops probe a :class:`~repro.search.bounds.LowerBoundProvider`
-per push; the flat kernel instead materializes one ``(n, dim)`` float64
-matrix up front so every bound lookup is an indexed load.  Matrices hold
-the exact same values the corresponding providers would return:
+Every production BBS (the flat kernel and the fused batch kernel)
+takes both of [45]'s aids from one place, a dense ``(n, dim)`` float64
+matrix of exact per-dimension distances to the target:
 
 * :func:`exact_bound_matrix` runs the per-dimension reverse Dijkstra
   directly over the CSR arrays (multi-source from the target set, which
-  equals the per-target minimum), matching
-  :class:`~repro.search.bounds.ExactBounds` bit for bit — Dijkstra
+  equals the per-target minimum), matching the reference provider
+  :class:`~repro.qa.bounds.ExactBounds` bit for bit — Dijkstra
   distances are accumulation-order-deterministic and relaxing parallel
   slots independently equals relaxing their per-dimension minimum.
-  It is the bound of every exact search the engine serves; given a
-  node mask it bounds within the masked subgraph (corridor search).
-* :func:`landmark_bound_matrix` vectorizes the ALT triangle bound of
-  :class:`~repro.search.landmark.LandmarkIndex` (abs/max/min are exact
-  IEEE operations, so values again match the dict implementation).
-* :func:`materialize_bound_matrix` dispatches any provider, falling back
-  to one ``bound()`` probe per node for unknown provider types.
+  Given a node mask it bounds within the masked subgraph (corridor
+  search).
+* :func:`seed_paths_from_bounds` reads each dimension's shortest path
+  off the same matrix, the result set BBS starts from.
 """
 
 from __future__ import annotations
@@ -28,12 +24,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from repro.accel.csr import CSRSnapshot
-from repro.search.bounds import (
-    LandmarkLowerBounds,
-    LowerBoundProvider,
-    ZeroBounds,
-)
-from repro.search.landmark import LandmarkIndex
+from repro.paths.path import Path
 
 _INF = float("inf")
 
@@ -97,58 +88,59 @@ def exact_bound_matrix(
     return matrix
 
 
-def landmark_distance_arrays(
-    index: LandmarkIndex, snapshot: CSRSnapshot
-) -> np.ndarray:
-    """The landmark tables as one ``(L, dim, n)`` array (``inf`` = missing)."""
-    return index.to_arrays(snapshot.node_ids)
-
-
-def landmark_bound_matrix(
-    index: LandmarkIndex,
+def seed_paths_from_bounds(
     snapshot: CSRSnapshot,
-    dense_targets: Sequence[int],
-) -> np.ndarray:
-    """ALT triangle bounds to the nearest target, per dimension.
+    bound_matrix: np.ndarray,
+    src: int,
+    dst: int,
+) -> list[Path]:
+    """Each dimension's shortest ``src``-``dst`` path, read off exact bounds.
 
-    Matches ``LandmarkIndex.lower_bound_to_any`` (and ``lower_bound``
-    for a single target): landmarks missing either endpoint contribute
-    nothing, a node that *is* a target gets a zero bound.
+    ``bound_matrix[v, k]`` is the exact reverse-Dijkstra distance from
+    dense node ``v`` to ``dst`` on dimension ``k`` (an
+    :func:`exact_bound_matrix`, masked or not).  The matrix encodes
+    every per-dimension shortest-path tree: from ``u`` the next hop on
+    dimension ``k`` is the out-slot minimizing ``w_k + bound[v, k]``
+    (Bellman optimality).  Slots are scanned in CSR order — neighbors
+    ascending, parallel edges in the graph's canonical cost order — and
+    the first minimum wins; :func:`repro.qa.reference.skyline_paths`
+    walks its dict tables by the same rule, so both searches start from
+    the same seeds.  A masked matrix is infinite outside its mask, so
+    the walk never leaves it.
+
+    Each walk reads one column as a flat python list, so a query
+    allocates a handful of containers, not one per node.  Costs
+    accumulate in walk order with the same float additions the search
+    performs.  With positive costs the bound strictly decreases along
+    the walk; a walk still short of ``dst`` after ``n`` hops (possible
+    only around zero-cost cycles) is dropped, as is a dimension on
+    which ``dst`` is unreachable.
     """
-    n = snapshot.num_nodes
-    distances = landmark_distance_arrays(index, snapshot)  # (L, dim, n)
-    best = np.full((n, snapshot.dim), _INF, dtype=np.float64)
-    finite = np.isfinite(distances)
-    for target in dense_targets:
-        target_col = distances[:, :, target][:, :, None]  # (L, dim, 1)
-        valid = finite & np.isfinite(target_col)
-        with np.errstate(invalid="ignore"):
-            raw = np.abs(distances - target_col)
-        contrib = np.where(valid, raw, 0.0)
-        if len(contrib):
-            per_target = contrib.max(axis=0)  # (dim, n)
-        else:
-            per_target = np.zeros((snapshot.dim, n), dtype=np.float64)
-        per_target[:, target] = 0.0
-        np.minimum(best, per_target.T, out=best)
-    # With at least one target every entry is finite; an empty target
-    # set is a caller error the python provider also rejects.
-    return best
-
-
-def materialize_bound_matrix(
-    provider: LowerBoundProvider, snapshot: CSRSnapshot
-) -> np.ndarray:
-    """One ``(n, dim)`` matrix holding ``provider.bound(node)`` per node."""
-    if isinstance(provider, ZeroBounds):
-        return np.zeros((snapshot.num_nodes, snapshot.dim), dtype=np.float64)
-    if isinstance(provider, LandmarkLowerBounds):
-        dense_targets = [snapshot.dense_of(t) for t in provider.targets]
-        return landmark_bound_matrix(provider.index, snapshot, dense_targets)
-    # ExactBounds and unknown providers: the tables are already paid
-    # for, so one bound() probe per node is both cheap and guaranteed
-    # to reproduce the provider's values exactly.
-    matrix = np.empty((snapshot.num_nodes, snapshot.dim), dtype=np.float64)
-    for dense, orig in enumerate(snapshot.node_ids.tolist()):
-        matrix[dense] = provider.bound(orig)
-    return matrix
+    indptr, indices = snapshot.adjacency_lists()
+    weights = snapshot.weight_lists()
+    cost_tuples = snapshot.cost_tuples()
+    node_ids = snapshot.node_ids
+    paths: list[Path] = []
+    for k in range(snapshot.dim):
+        if bound_matrix[src, k] == _INF:
+            continue
+        bound = bound_matrix[:, k].tolist()
+        weight = weights[k]
+        u = src
+        walk = [src]
+        total = (0.0,) * snapshot.dim
+        for _ in range(snapshot.num_nodes):
+            best, step = _INF, -1
+            for slot in range(indptr[u], indptr[u + 1]):
+                value = weight[slot] + bound[indices[slot]]
+                if value < best:
+                    best, step = value, slot
+            if step < 0:
+                break
+            total = tuple(c + w for c, w in zip(total, cost_tuples[step]))
+            u = indices[step]
+            walk.append(u)
+            if u == dst:
+                paths.append(Path([int(node_ids[v]) for v in walk], total))
+                break
+    return paths

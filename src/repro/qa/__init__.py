@@ -13,6 +13,8 @@ package makes that a running check rather than a hope:
 * :mod:`repro.qa.reference` — the reference oracle: the plain python
   BBS, m_BBS and one-to-all loops and the scalar build that every
   production kernel is held to;
+* :mod:`repro.qa.bounds` — the reference's lower-bound providers
+  (exact, landmark, zero) and the landmark index;
 * :mod:`repro.qa.differential` — the runner crossing exact BBS, the
   fresh index, binary-store round trips (eager and lazy), the cached
   engine, and the maintained index over every workload query, plus the

@@ -46,9 +46,8 @@ from repro.graph.mcrn import MultiCostGraph
 from repro.graph.traversal import peel_degree_one
 from repro.paths.frontier import ParetoSet, PathSet
 from repro.paths.path import Path
+from repro.qa.bounds import ExactBounds, LowerBoundProvider, ZeroBounds
 from repro.search.bbs import SearchStats, SkylineResult
-from repro.search.bounds import ExactBounds, LowerBoundProvider, ZeroBounds
-from repro.search.dijkstra import per_dimension_shortest_paths
 from repro.search.labels import Label, NodeFrontier
 from repro.search.mbbs import ManyToManyResult, Seed
 
@@ -83,8 +82,15 @@ def skyline_paths(
     restrict_to=None,
     seed_paths=None,
 ) -> SkylineResult:
-    """Exact BBS; the reference for :func:`repro.search.bbs.skyline_paths`
-    (same parameters, minus the snapshot and tracer)."""
+    """Exact BBS; the reference for :func:`repro.search.bbs.skyline_paths`.
+
+    Same parameters minus the snapshot and tracer, plus two production
+    does not have: ``bounds`` (any :mod:`repro.qa.bounds` provider;
+    defaults to :class:`~repro.qa.bounds.ExactBounds`, which is what
+    production bounds with) and ``max_expansions`` (a cap on label
+    expansions, reported as a timeout).  Seeds always come from exact
+    tables taken inside the restriction, walked by :func:`_seed_walks`,
+    whatever provider prunes."""
     if not graph.has_node(source):
         raise NodeNotFoundError(source)
     if not graph.has_node(target):
@@ -97,17 +103,25 @@ def skyline_paths(
         stats.timed_out = True
         stats.elapsed_seconds = time.perf_counter() - start_time
         return SkylineResult(stats=stats)
-    if bounds is None:
+    # A target outside the restriction is unreachable for the search,
+    # so it gets no seeds either.
+    seeded = seed_with_shortest_paths and (
+        restrict_to is None or target in restrict_to
+    )
+    exact = None
+    if bounds is None or seeded:
         within = None
         if restrict_to is not None:
             # The restricted search enters only restricted nodes (plus
             # its source), so reverse Dijkstra inside that set bounds it.
             within = _WithNode(restrict_to, source)
-        bounds = ExactBounds(graph, [target], within=within)
+        exact = ExactBounds(graph, [target], within=within)
+    if bounds is None:
+        bounds = exact
 
     results = PathSet()
-    if seed_with_shortest_paths:
-        results.add_all(per_dimension_shortest_paths(graph, source, target))
+    if seeded:
+        results.add_all(_seed_walks(graph, exact, source, target))
     if seed_paths is not None:
         results.add_all(seed_paths)
 
@@ -189,6 +203,43 @@ def skyline_paths(
     stats.elapsed_seconds = time.perf_counter() - start_time
     stats.frontier_nodes = len(frontiers)
     return SkylineResult(paths=results.paths(), stats=stats)
+
+
+def _seed_walks(
+    graph: MultiCostGraph, exact: ExactBounds, source: int, target: int
+) -> list[Path]:
+    """Each dimension's shortest path, walked down exact bound tables.
+
+    The dict mirror of :func:`repro.accel.bounds.seed_paths_from_bounds`:
+    from ``u`` step along the edge minimizing ``w_k + bound(v)[k]``,
+    neighbors in ascending id order, parallel edges in the graph's
+    canonical cost order, first minimum wins.
+    """
+    dim = graph.dim
+    paths: list[Path] = []
+    for k in range(dim):
+        if exact.bound(source)[k] == _INF:
+            continue
+        u = source
+        walk = [source]
+        total = (0.0,) * dim
+        for _ in range(graph.num_nodes):
+            best, step = _INF, None
+            for neighbor in graph.sorted_neighbors(u):
+                remaining = exact.bound(neighbor)[k]
+                for edge_cost in graph.edge_costs(u, neighbor):
+                    value = edge_cost[k] + remaining
+                    if value < best:
+                        best, step = value, (neighbor, edge_cost)
+            if step is None:
+                break
+            u, edge_cost = step
+            total = tuple(c + w for c, w in zip(total, edge_cost))
+            walk.append(u)
+            if u == target:
+                paths.append(Path(walk, total))
+                break
+    return paths
 
 
 def many_to_many_skyline(

@@ -1,17 +1,11 @@
-"""Exact search algorithms: Dijkstra, landmarks, BBS, m_BBS, one-to-all."""
+"""Exact search algorithms: Dijkstra, A*, BBS, m_BBS, one-to-all."""
 
-from repro.search.astar import astar_path, euclidean_heuristic, landmark_heuristic
+from repro.search.astar import astar_path, euclidean_heuristic
 from repro.search.bbs import (
     SearchStats,
     SkylineResult,
     brute_force_skyline,
     skyline_paths,
-)
-from repro.search.bounds import (
-    ExactBounds,
-    LandmarkLowerBounds,
-    LowerBoundProvider,
-    ZeroBounds,
 )
 from repro.search.dijkstra import (
     path_hops,
@@ -19,29 +13,21 @@ from repro.search.dijkstra import (
     shortest_costs,
     shortest_path,
 )
-from repro.search.landmark import LandmarkIndex, select_landmarks
 from repro.search.mbbs import ManyToManyResult, Seed, many_to_many_skyline
 from repro.search.onetoall import one_to_all_skyline
 
 __all__ = [
-    "ExactBounds",
-    "LandmarkIndex",
-    "LandmarkLowerBounds",
-    "LowerBoundProvider",
     "ManyToManyResult",
     "SearchStats",
     "Seed",
     "SkylineResult",
-    "ZeroBounds",
     "astar_path",
     "euclidean_heuristic",
     "brute_force_skyline",
-    "landmark_heuristic",
     "many_to_many_skyline",
     "one_to_all_skyline",
     "path_hops",
     "per_dimension_shortest_paths",
-    "select_landmarks",
     "shortest_costs",
     "shortest_path",
     "skyline_paths",

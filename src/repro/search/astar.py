@@ -1,11 +1,9 @@
 """A* search [23] on one cost dimension of a multi-cost graph.
 
 The classic goal-directed companion to Dijkstra (paper Section 2.2).
-With an admissible heuristic — landmark triangle bounds or Euclidean
-distance for the spatial dimension — A* settles far fewer nodes than
-Dijkstra on long queries.  The library uses it as a faster drop-in for
-single-dimension shortest paths when a landmark index is available
-(e.g., repeated workload generation on one graph).
+With an admissible heuristic — Euclidean distance for the spatial
+dimension, or any per-node lower bound such as a landmark triangle
+bound — A* settles far fewer nodes than Dijkstra on long queries.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from repro.errors import NodeNotFoundError, QueryError
 from repro.graph.mcrn import MultiCostGraph
 from repro.paths.dominance import add_costs, zero_cost
 from repro.paths.path import Path
-from repro.search.landmark import LandmarkIndex
 
 _INF = float("inf")
 
@@ -38,17 +35,6 @@ def euclidean_heuristic(graph: MultiCostGraph, target: int) -> Heuristic:
         if coord is None:
             return 0.0
         return math.dist(coord, target_coord)
-
-    return heuristic
-
-
-def landmark_heuristic(
-    index: LandmarkIndex, target: int, dim_index: int
-) -> Heuristic:
-    """ALT heuristic: landmark triangle bound on one dimension."""
-
-    def heuristic(node: int) -> float:
-        return index.lower_bound(node, target)[dim_index]
 
     return heuristic
 

@@ -28,7 +28,6 @@ from repro.graph.mcrn import MultiCostGraph
 from repro.obs.tracer import Tracer, resolve_tracer
 from repro.paths.frontier import PathSet
 from repro.paths.path import Path
-from repro.search.bounds import LowerBoundProvider
 
 
 @dataclass
@@ -96,10 +95,8 @@ def skyline_paths(
     source: int,
     target: int,
     *,
-    bounds: LowerBoundProvider | None = None,
     seed_with_shortest_paths: bool = True,
     time_budget: float | None = None,
-    max_expansions: int | None = None,
     tracer: Tracer | None = None,
     snapshot=None,
     restrict_to=None,
@@ -107,12 +104,12 @@ def skyline_paths(
 ) -> SkylineResult:
     """Exact skyline paths from ``source`` to ``target`` (Definition 3.2).
 
+    The search prunes with exact reverse-Dijkstra bounds to the
+    target over the snapshot (the strongest admissible choice) and
+    reads its seeds off the same bound matrix.
+
     Parameters
     ----------
-    bounds:
-        Lower-bound provider for pruning.  Defaults to exact reverse
-        Dijkstra bounds from the target over the snapshot (the
-        strongest choice), taken inside ``restrict_to`` when given.
     seed_with_shortest_paths:
         Initialize the result set with each dimension's shortest path —
         the cold-start fix of [45] adopted by the paper's BBS.
@@ -122,9 +119,9 @@ def skyline_paths(
         node ids or a :class:`repro.approx.corridor.Corridor`).  The
         restriction must contain ``target`` (and normally ``source``)
         to produce any result; within the restricted subgraph the
-        search stays exact.  The default bounds are computed inside the
-        restriction (plus ``source``); full-graph bounds passed as
-        ``bounds`` remain admissible, only looser.
+        search stays exact.  Bounds and seeds are both computed inside
+        the restriction (plus ``source``), so every returned path lies
+        in it.
     seed_paths:
         Extra paths pre-loaded into the result skyline (e.g. a
         corridor's unpacked backbone answer).  Each must be a real
@@ -134,8 +131,6 @@ def skyline_paths(
         Optional wall-clock limit in seconds.  On expiry the search
         stops and returns the results found so far with
         ``stats.timed_out`` set (mirroring the paper's 15-minute cap).
-    max_expansions:
-        Optional cap on label expansions, also reported as a timeout.
     tracer:
         Observability hook; defaults to the process-wide tracer.  When
         enabled the whole search runs inside one ``search.bbs`` span
@@ -168,14 +163,11 @@ def skyline_paths(
         restricted=restrict_to is not None,
     ) as span:
         result = flat_skyline_paths(
-            graph,
             snapshot,
             source,
             target,
-            bounds=bounds,
             seed_with_shortest_paths=seed_with_shortest_paths,
             time_budget=time_budget,
-            max_expansions=max_expansions,
             node_mask=(
                 restriction_mask(restrict_to, snapshot)
                 if restrict_to is not None

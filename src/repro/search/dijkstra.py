@@ -1,11 +1,12 @@
 """Single-dimension shortest-path search over multi-cost graphs.
 
 Dijkstra's algorithm [15] applied to one cost dimension at a time.
-These routines power three things in the library: the BBS result-set
-initialization (seed the skyline with each dimension's shortest path,
-the improvement of [45]), the landmark index distances, and the paper's
-"path hop" statistic (average length of the per-dimension shortest
-paths).
+These routines power the reference bound providers of
+:mod:`repro.qa.bounds` (reverse searches and landmark distances) and
+the paper's "path hop" statistic (average length of the per-dimension
+shortest paths).  Production BBS reads its per-dimension shortest-path
+seeds off its exact bound matrix instead
+(:func:`repro.accel.bounds.seed_paths_from_bounds`).
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel.bounds import exact_bound_matrix, materialize_bound_matrix
+from repro.accel.bounds import exact_bound_matrix, seed_paths_from_bounds
 from repro.accel.csr import CSRSnapshot
 from repro.core import build_backbone_index
 from repro.errors import NodeNotFoundError
@@ -24,12 +24,14 @@ from repro.graph.generators import road_network
 from repro.graph.mcrn import MultiCostGraph
 from repro.obs import Tracer, use_tracer
 from repro.qa import reference
+from repro.qa.bounds import ExactBounds
 from repro.qa.workload import CaseSpec, build_case, qa_params
 from repro.search.bbs import skyline_paths
-from repro.search.bounds import ExactBounds, ZeroBounds
 from repro.search.mbbs import Seed, many_to_many_skyline
 from repro.service import SkylineQueryEngine
 from repro.store import load_index, save_index
+
+from tests.conftest import assert_valid_walk
 
 
 def random_multigraph(seed: int) -> MultiCostGraph:
@@ -172,11 +174,39 @@ class TestBoundMatrices:
         for dense, orig in enumerate(snapshot.node_ids.tolist()):
             assert tuple(matrix[dense]) == provider.bound(orig)
 
-    def test_materialize_zero_bounds(self):
-        case, snapshot = workload_case(0)
-        matrix = materialize_bound_matrix(ZeroBounds(case.graph.dim), snapshot)
-        assert not matrix.any()
-        assert matrix.shape == (snapshot.num_nodes, case.graph.dim)
+    @given(seed=st.integers(0, 10_000), masked=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_seed_walk_matches_the_reference_walk(self, seed, masked):
+        """The CSR seed walk and the reference's dict walk over
+        ``ExactBounds`` pick the same first-minimum steps, inside a
+        restriction too."""
+        graph = random_multigraph(seed)
+        snapshot = CSRSnapshot.from_graph(graph)
+        rng = random.Random(seed + 7)
+        nodes = sorted(graph.nodes())
+        source, target = rng.sample(nodes, 2)
+        within = None
+        if masked:
+            within = set(rng.sample(nodes, len(nodes) // 2)) | {
+                source, target
+            }
+        src, dst = snapshot.dense_of(source), snapshot.dense_of(target)
+        matrix = exact_bound_matrix(
+            snapshot,
+            [dst],
+            node_mask=None if within is None else snapshot.node_mask(within),
+        )
+        walked = seed_paths_from_bounds(snapshot, matrix, src, dst)
+        expected = reference._seed_walks(
+            graph, ExactBounds(graph, [target], within=within), source, target
+        )
+        assert [(p.nodes, p.cost) for p in walked] == [
+            (p.nodes, p.cost) for p in expected
+        ]
+        for path in walked:
+            assert_valid_walk(graph, path)
+            if within is not None:
+                assert set(path.nodes) <= within
 
 
 # ----------------------------------------------------------------------

@@ -7,9 +7,9 @@ import pytest
 from repro.errors import NodeNotFoundError, QueryError
 from repro.graph.generators import road_network
 from repro.graph.mcrn import MultiCostGraph
-from repro.search.astar import astar_path, euclidean_heuristic, landmark_heuristic
+from repro.qa.bounds import LandmarkIndex
+from repro.search.astar import astar_path, euclidean_heuristic
 from repro.search.dijkstra import shortest_costs, shortest_path
-from repro.search.landmark import LandmarkIndex
 
 from tests.conftest import assert_valid_walk
 
@@ -50,7 +50,9 @@ class TestCorrectness:
                     s,
                     t,
                     dim_index,
-                    heuristic=landmark_heuristic(index, t, dim_index),
+                    heuristic=lambda node, t=t, k=dim_index: (
+                        index.lower_bound(node, t)[k]
+                    ),
                 )
                 expected = shortest_costs(network, s, dim_index)[t]
                 assert path.cost[dim_index] == pytest.approx(expected)

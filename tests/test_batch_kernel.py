@@ -7,10 +7,12 @@ same counters — on every input shape the serving path produces:
 
 * integer-cost multigraphs with parallel edges, sparse ids and both
   directedness modes, where exact cost ties are common;
-* every bound provider (zero, exact reverse Dijkstra, landmarks);
 * corridor restrictions (``restrict_to``), pre-seeded result skylines
   (``seed_paths``), and many-to-many seeds with payloads;
 * budgets, trivial and unreachable endpoints.
+
+The reference's other bound providers (zero, landmarks) prune
+differently but must reach the same answer set.
 
 The fused many-query kernel (:func:`fused_skyline_batch`) — one bucket
 traversal shared across a whole serving batch — sits in the weaker
@@ -26,7 +28,7 @@ import random
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.accel import batch_kernel
@@ -38,8 +40,12 @@ from repro.qa import reference
 from repro.qa.invariants import answer_set_errors
 from repro.qa.workload import CaseSpec, build_case
 from repro.search.bbs import skyline_paths
-from repro.search.bounds import ExactBounds, LandmarkLowerBounds, ZeroBounds
-from repro.search.landmark import LandmarkIndex
+from repro.qa.bounds import (
+    ExactBounds,
+    LandmarkIndex,
+    LandmarkLowerBounds,
+    ZeroBounds,
+)
 from repro.search.mbbs import Seed, many_to_many_skyline
 
 
@@ -113,37 +119,51 @@ class TestAnswerSetEquality:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
     def test_workload_paths_identical_sorted_by_cost(self, seed):
-        """Landmark bounds (the providers m_BBS uses on G_L)."""
+        """Landmark bounds (the paper's provider, reference only) prune
+        differently but reach production's answer set."""
         case, snapshot = workload_case(seed)
         landmarks = LandmarkIndex(case.graph, 4)
         for source, target in case.queries:
             bounds = LandmarkLowerBounds(landmarks, [target])
-            assert_identical(
+            assert not answer_set_errors(
+                "landmark",
                 reference.skyline_paths(
                     case.graph, source, target, bounds=bounds
-                ),
+                ).paths,
+                "production",
                 skyline_paths(
-                    case.graph, source, target, bounds=bounds,
-                    snapshot=snapshot,
-                ),
+                    case.graph, source, target, snapshot=snapshot
+                ).paths,
+                case.graph,
             )
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
     def test_bound_providers_preserve_equality(self, seed):
+        """An explicit exact provider is production's own bound, so the
+        run is identical; zero bounds reach the same answer set."""
         case, snapshot = workload_case(seed)
         source, target = case.queries[0]
-        for bounds in (ZeroBounds(case.graph.dim),
-                       ExactBounds(case.graph, [target])):
-            assert_identical(
-                reference.skyline_paths(
-                    case.graph, source, target, bounds=bounds
-                ),
-                skyline_paths(
-                    case.graph, source, target, snapshot=snapshot,
-                    bounds=bounds,
-                ),
-            )
+        production = skyline_paths(
+            case.graph, source, target, snapshot=snapshot
+        )
+        assert_identical(
+            reference.skyline_paths(
+                case.graph, source, target,
+                bounds=ExactBounds(case.graph, [target]),
+            ),
+            production,
+        )
+        assert not answer_set_errors(
+            "zero",
+            reference.skyline_paths(
+                case.graph, source, target,
+                bounds=ZeroBounds(case.graph.dim),
+            ).paths,
+            "production",
+            production.paths,
+            case.graph,
+        )
 
 
 class TestRestrictionAndSeeding:
@@ -262,6 +282,9 @@ class TestFusedBatch:
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
+    # Query 789->354: the reference kept two equal-cost (11, 9) walks
+    # and fused one while their seeds came from different walks.
+    @example(85)
     def test_multigraph_equality_modulo_cost_ties(self, seed):
         graph = random_multigraph(seed)
         snapshot = CSRSnapshot.from_graph(graph)
@@ -322,26 +345,17 @@ class TestFusedBatch:
         assert trivial.paths[0].cost == (0.0, 0.0)
         assert miss.paths == []
 
-    def test_max_expansions_truncates_whole_batch(self):
-        case, snapshot = workload_case(11)
-        results = fused_skyline_batch(
-            case.graph, snapshot, case.queries, max_expansions=1
-        )
-        assert any(r.stats.timed_out for r in results)
-
 
 class TestBudgets:
     def test_max_expansions_reports_timeout(self):
-        case, snapshot = workload_case(11)
+        # The expansion cap lives in the reference only.
+        case, _snapshot = workload_case(11)
         source, target = case.queries[0]
-        ours = reference.skyline_paths(
+        capped = reference.skyline_paths(
             case.graph, source, target, max_expansions=1
         )
-        theirs = skyline_paths(
-            case.graph, source, target, snapshot=snapshot, max_expansions=1
-        )
-        assert theirs.stats.timed_out
-        assert_identical(ours, theirs)
+        assert capped.stats.timed_out
+        assert capped.stats.expansions == 1
 
     def test_trivial_and_unreachable(self):
         graph = MultiCostGraph(2, directed=True)

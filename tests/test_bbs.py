@@ -10,8 +10,9 @@ from repro.errors import NodeNotFoundError, QueryError
 from repro.graph.generators import road_network
 from repro.graph.mcrn import MultiCostGraph
 from repro.paths.dominance import dominates
+from repro.qa import reference
+from repro.qa.bounds import ZeroBounds
 from repro.search.bbs import brute_force_skyline, skyline_paths
-from repro.search.bounds import ExactBounds, ZeroBounds
 
 from tests.conftest import assert_valid_walk, costs_of, make_diamond_graph
 
@@ -65,16 +66,45 @@ class TestBasics:
         assert costs_of(result.paths) == {(2.0, 8.0), (8.0, 2.0)}
 
     def test_zero_bounds_still_exact(self):
+        # Providers other than the exact bound live in the reference.
         g = make_diamond_graph()
-        result = skyline_paths(g, 0, 3, bounds=ZeroBounds(2))
+        result = reference.skyline_paths(g, 0, 3, bounds=ZeroBounds(2))
         assert costs_of(result.paths) == {(2.0, 8.0), (8.0, 2.0)}
+
+    @pytest.mark.parametrize(
+        "search", [skyline_paths, reference.skyline_paths],
+        ids=["production", "reference"],
+    )
+    def test_restricted_seeds_stay_inside_the_restriction(self, search):
+        """Regression: seeds used to come from the whole graph, so the
+        0-1-3 path outside the restriction pruned the only restricted
+        answer 0-2-3 and was returned in its place."""
+        g = MultiCostGraph(2)
+        g.add_edge(0, 1, (1.0, 1.0))
+        g.add_edge(1, 3, (1.0, 1.0))
+        g.add_edge(0, 2, (5.0, 5.0))
+        g.add_edge(2, 3, (5.0, 5.0))
+        result = search(g, 0, 3, restrict_to={0, 2, 3})
+        assert [p.nodes for p in result.paths] == [(0, 2, 3)]
+        assert costs_of(result.paths) == {(10.0, 10.0)}
+
+    @pytest.mark.parametrize(
+        "search", [skyline_paths, reference.skyline_paths],
+        ids=["production", "reference"],
+    )
+    def test_target_outside_restriction_gets_no_seeds(self, search):
+        g = make_diamond_graph()
+        assert search(g, 0, 3, restrict_to={0, 1, 2}).paths == []
 
 
 class TestBudget:
     def test_max_expansions_flags_timeout(self):
+        # The expansion cap lives in the reference only.
         g = road_network(200, dim=3, seed=2)
         nodes = sorted(g.nodes())
-        result = skyline_paths(g, nodes[0], nodes[-1], max_expansions=3)
+        result = reference.skyline_paths(
+            g, nodes[0], nodes[-1], max_expansions=3
+        )
         assert result.stats.timed_out
 
     def test_time_budget_zero(self):

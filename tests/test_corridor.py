@@ -174,12 +174,12 @@ class TestRestrictedSearch:
     def test_corridor_bounds_keep_answers_and_never_expand_more(
         self, network, index, radius
     ):
-        """Default bounds of a restricted search are reverse Dijkstra
-        inside the corridor: the answer paths equal a run's with
-        full-graph exact bounds, and the tighter bounds never expand
-        more."""
+        """The bounds of a restricted search are reverse Dijkstra
+        inside the corridor: the answer paths equal the reference run's
+        with full-graph exact bounds, and the tighter bounds never
+        expand more."""
         from repro.accel.csr import CSRSnapshot
-        from repro.search.bounds import ExactBounds
+        from repro.qa.bounds import ExactBounds
 
         snapshot = CSRSnapshot.from_graph(network)
         tighter = 0
@@ -190,10 +190,9 @@ class TestRestrictedSearch:
                 restrict_to=corridor,
                 seed_with_shortest_paths=False,
                 seed_paths=corridor.seed_paths,
-                snapshot=snapshot,
             )
-            masked = skyline_paths(network, s, t, **kwargs)
-            full = skyline_paths(
+            masked = skyline_paths(network, s, t, snapshot=snapshot, **kwargs)
+            full = reference.skyline_paths(
                 network, s, t, bounds=ExactBounds(network, [t]), **kwargs
             )
             # Same paths.  A corridor seed path's cost (summed by the

@@ -120,7 +120,7 @@ class TestNoLandmarkIndex:
     ):
         """Build, persist, reload, query and maintain an index with
         landmark selection made to fail: no step may need landmarks."""
-        import repro.search.landmark as landmark_module
+        import repro.qa.bounds as landmark_module
         from repro.core.maintenance import MaintainableIndex
         from repro.core.query import backbone_query
         from repro.core.verify import verify_index

@@ -1,4 +1,4 @@
-"""Tests for the landmark index and its lower bounds."""
+"""Tests for the reference landmark index and its lower bounds."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import pytest
 
 from repro.errors import BuildError
 from repro.graph.generators import road_network
+from repro.qa.bounds import LandmarkIndex, select_landmarks
 from repro.search.dijkstra import shortest_costs
-from repro.search.landmark import LandmarkIndex, select_landmarks
 
 
 @pytest.fixture(scope="module")

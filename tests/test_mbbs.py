@@ -14,10 +14,8 @@ from repro.graph.mcrn import MultiCostGraph
 from repro.qa import reference
 from repro.qa.invariants import answer_set_errors, path_errors
 from repro.paths.path import Path
+from repro.qa.bounds import ExactBounds, LandmarkIndex, LandmarkLowerBounds
 from repro.search.bbs import skyline_paths
-from repro.search.bounds import ExactBounds
-from repro.search.landmark import LandmarkIndex
-from repro.search.bounds import LandmarkLowerBounds
 from repro.search.mbbs import Seed, many_to_many_skyline
 
 from tests.conftest import costs_of, make_diamond_graph

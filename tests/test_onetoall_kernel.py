@@ -9,7 +9,7 @@ directedness modes) and through the ``targets`` / ``max_frontier``
 narrowing options.
 
 ``exact_bound_matrix`` is the bound of every served exact search: it
-must equal :class:`~repro.search.bounds.ExactBounds` bit for bit (also
+must equal :class:`~repro.qa.bounds.ExactBounds` bit for bit (also
 confined to a node mask, as the corridor tier runs it), never exceed a
 reachable path's cost per dimension, and never fall below the landmark
 ALT bound — exact per-dimension distances are the tightest admissible
@@ -25,14 +25,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accel.bounds import exact_bound_matrix, landmark_bound_matrix
+from repro.accel.bounds import exact_bound_matrix
 from repro.accel.csr import CSRSnapshot
 from repro.errors import NodeNotFoundError
 from repro.graph.mcrn import MultiCostGraph
 from repro.qa import reference
+from repro.qa.bounds import ExactBounds, LandmarkIndex
 from repro.search.bbs import SearchStats
-from repro.search.bounds import ExactBounds
-from repro.search.landmark import LandmarkIndex
 from repro.search.onetoall import one_to_all_skyline
 
 
@@ -223,8 +222,10 @@ class TestExactBoundMatrix:
         nodes = sorted(graph.nodes())
         targets = rng.sample(nodes, min(len(nodes), 2))
         dense = [snapshot.dense_of(t) for t in targets]
-        landmarks = LandmarkIndex(graph, min(3, graph.num_nodes), csr=snapshot)
-        alt = landmark_bound_matrix(landmarks, snapshot, dense)
+        landmarks = LandmarkIndex(graph, min(3, graph.num_nodes))
         exact = exact_bound_matrix(snapshot, dense)
         # Exact distances dominate any admissible ALT bound.
-        assert bool(np.all(exact >= alt - 1e-9))
+        for node in nodes:
+            alt = landmarks.lower_bound_to_any(node, targets)
+            row = exact[snapshot.dense_of(node)]
+            assert bool(np.all(row >= np.asarray(alt) - 1e-9))

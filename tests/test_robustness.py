@@ -16,6 +16,7 @@ from repro.core.index import BackboneIndex
 from repro.core.params import BackboneParams
 from repro.errors import BuildError
 from repro.graph.mcrn import MultiCostGraph
+from repro.qa import reference
 from repro.search.bbs import skyline_paths
 from repro.search.onetoall import one_to_all_skyline
 
@@ -186,8 +187,11 @@ class TestSearchBudgets:
 
         g = road_network(400, dim=3, seed=191)
         nodes = sorted(g.nodes())
-        # extremely tight expansion cap: search must stop gracefully
-        result = skyline_paths(g, nodes[0], nodes[-1], max_expansions=10)
+        # extremely tight expansion cap (a reference-only knob): the
+        # search must stop gracefully
+        result = reference.skyline_paths(
+            g, nodes[0], nodes[-1], max_expansions=10
+        )
         assert result.stats.timed_out
         # seeded shortest paths are still returned as best effort
         assert result.paths

@@ -105,7 +105,7 @@ class TestRoundTrip:
             assert costs_of(loaded.query(s, t)) == costs_of(index.query(s, t))
 
     def test_no_dijkstra_on_load(self, store_path, network, index, monkeypatch):
-        import repro.search.landmark as landmark_module
+        import repro.qa.bounds as landmark_module
 
         def forbid(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("load must not run Dijkstra")

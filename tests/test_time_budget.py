@@ -14,20 +14,22 @@ expansions followed by thousands of pops that are all stale or pruned.
 A fake clock (time only advances when ``perf_counter`` is read) expires
 the budget during the starved run; the old gating never reads the clock
 there and finishes the whole run, the fixed gating reads it within one
-512-pop interval and stops.
+512-pop interval and stops.  The fused batch kernel, which reads the
+clock once per bucket, must expire mid-search under the same clock.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.accel.batch_kernel as batch_kernel_module
 import repro.accel.bbs_kernel as bbs_kernel_module
 import repro.accel.onetoall_kernel as onetoall_kernel_module
 import repro.qa.reference as reference_module
+from repro.accel.batch_kernel import fused_skyline_batch
 from repro.accel.csr import CSRSnapshot
 from repro.graph.mcrn import MultiCostGraph
 from repro.search.bbs import SearchStats, skyline_paths
-from repro.search.bounds import ZeroBounds
 from repro.search.mbbs import Seed, many_to_many_skyline
 from repro.search.onetoall import one_to_all_skyline
 
@@ -57,6 +59,7 @@ def search(engine: str, kind: str, graph):
 
 S, X, Y = 0, 1, 2
 FIRST_M = 3
+TARGET = 4
 STALE_POPS = 2048
 
 # The fake clock ticks one second per perf_counter() read.  The fixed
@@ -83,14 +86,15 @@ class FakeClock:
 
 
 def starvation_graph():
-    """A graph whose search degenerates into a long stale/pruned pop run.
+    """A graph whose unbounded search degenerates into a stale pop run.
 
     ``s -> X`` is cheap, ``s -> Y`` is the only route to the target side,
     and ``X -> m`` fans out into ``STALE_POPS`` mutually non-dominated
     parallel edges, flooding the heap with expensive labels at ``m``.
-    ``Y -> m`` is cheap enough that either the result skyline (BBS with
-    target ``Y``) or a frontier eviction (m_BBS expanding through ``Y``)
-    invalidates every one of those labels before they pop.
+    ``Y -> m`` is cheap enough that a frontier eviction (m_BBS and
+    one-to-all expanding through ``Y``) invalidates every one of those
+    labels before they pop.  BBS's exact bounds would never push them,
+    so BBS runs on :func:`bound_starvation_graph` instead.
     """
     graph = MultiCostGraph(2)
     graph.add_edge(S, X, (1.0, 1.0))
@@ -103,11 +107,34 @@ def starvation_graph():
     return graph
 
 
+def bound_starvation_graph():
+    """A pruned-pop run that survives exact bounds and seeding.
+
+    ``s -> X`` and ``s -> Y`` tie on their exact projected cost
+    (102, 103), and X, pushed first, expands first: it floods ``m``
+    with ``STALE_POPS`` anti-correlated parallel labels whose bounds
+    (the per-dimension minima over the parallel edges) keep them
+    unpruned at push, bar the two that equal a seed.  Y then reaches
+    the target at exactly (102, 103), which dominates every flooded
+    label's projection, so all of them pop only to be pruned by the
+    result skyline.
+    """
+    graph = MultiCostGraph(2)
+    graph.add_edge(S, X, (1.0, 1.0))
+    graph.add_edge(S, Y, (101.0, 102.0))
+    graph.add_edge(Y, TARGET, (1.0, 1.0))
+    graph.add_edge(FIRST_M, TARGET, (1.0, 1.0))
+    for i in range(STALE_POPS):
+        graph.add_edge(X, FIRST_M, (100.0 + i, 100.0 + STALE_POPS - i))
+    return graph
+
+
 @pytest.fixture
 def clock(monkeypatch):
     fake = FakeClock()
     monkeypatch.setattr(reference_module, "time", fake)
     monkeypatch.setattr(bbs_kernel_module, "time", fake)
+    monkeypatch.setattr(batch_kernel_module, "time", fake)
     monkeypatch.setattr(onetoall_kernel_module, "time", fake)
     return fake
 
@@ -125,18 +152,31 @@ def assert_timed_out_promptly(stats, clock) -> None:
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_bbs_budget_survives_pruned_pop_run(engine, clock):
-    graph = starvation_graph()
+    graph = bound_starvation_graph()
     result = search(engine, "bbs", graph)(
-        graph,
-        S,
-        Y,
-        bounds=ZeroBounds(graph.dim),
-        seed_with_shortest_paths=False,
-        time_budget=BUDGET,
+        graph, S, TARGET, time_budget=BUDGET
     )
     assert_timed_out_promptly(result.stats, clock)
+    assert result.stats.pruned_by_result >= 1024
     # The answer found before expiry is still returned.
-    assert [p.cost for p in result.paths] == [(10.0, 10.0)]
+    assert [p.cost for p in result.paths] == [(102.0, 103.0)]
+
+
+def test_fused_budget_expires_mid_search(clock):
+    graph = bound_starvation_graph()
+    results = fused_skyline_batch(
+        graph,
+        CSRSnapshot.from_graph(graph),
+        [(S, TARGET), (X, TARGET)],
+        time_budget=BUDGET,
+    )
+    # The shared traversal cannot attribute the shortfall: every query
+    # reports it.
+    assert all(r.stats.timed_out for r in results)
+    assert sum(r.stats.expansions for r in results) > 0
+    # One clock read per bucket: the batch stops at the first read past
+    # the budget, and the only later read is the final elapsed one.
+    assert clock.calls_after_trip <= 2
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -190,14 +230,10 @@ def test_onetoall_completes_within_budget_untouched(engine):
 def test_bbs_completes_within_budget_untouched(engine):
     # Sanity: with a generous real budget the same workload completes
     # and is not reported as timed out.
-    graph = starvation_graph()
+    graph = bound_starvation_graph()
     result = search(engine, "bbs", graph)(
-        graph,
-        S,
-        Y,
-        bounds=ZeroBounds(graph.dim),
-        seed_with_shortest_paths=False,
-        time_budget=60.0,
+        graph, S, TARGET, time_budget=60.0
     )
     assert result.stats.timed_out is False
-    assert [p.cost for p in result.paths] == [(10.0, 10.0)]
+    assert result.stats.pruned_by_result >= STALE_POPS - 2
+    assert [p.cost for p in result.paths] == [(102.0, 103.0)]
