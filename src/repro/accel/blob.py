@@ -2,8 +2,8 @@
 
 The multi-process serving layer needs the flat CSR arrays (and any
 other dense matrix) to live in a single shareable buffer — a
-``multiprocessing.shared_memory`` segment or an mmap'd store section —
-that readers can *attach* to without materializing anything.  This
+``multiprocessing.shared_memory`` segment — that readers can *attach*
+to without materializing anything.  This
 module defines that layout:
 
 ::

@@ -30,7 +30,6 @@ import numpy as np
 from repro.errors import BuildError, NodeNotFoundError
 from repro.graph.mcrn import MultiCostGraph
 from repro.obs.tracer import Tracer, resolve_tracer
-from repro.store.codec import ByteReader, ByteWriter
 
 
 class CSRSnapshot:
@@ -337,9 +336,9 @@ class CSRSnapshot:
 
         The arrays are wrapped as read-only views (a buffer-backed
         snapshot is shared state by construction; nobody may scribble on
-        it).  Dtypes, shapes and values are validated (:meth:`_checked`)
-        so a torn or mislabelled segment fails loudly instead of
-        mis-answering queries.
+        it).  Dtypes, shapes and values are validated, raising
+        :class:`~repro.errors.BuildError`, so a torn or mislabelled
+        segment fails loudly instead of mis-answering queries.
         """
         dim = int(meta["dim"])
         directed = bool(meta["directed"])
@@ -377,7 +376,35 @@ class CSRSnapshot:
             rev_costs = view("rev_costs", "float64", allow_2d=True)
         else:
             rev_indptr, rev_indices, rev_costs = indptr, indices, costs
-        return cls._checked(
+        # Beyond shapes, every value is checked: ``indptr`` must start
+        # at 0 and never decrease, ``indices`` must name nodes in
+        # ``[0, n)``, and costs must be finite and non-negative — one NaN
+        # weight would poison every exact bound computed over the
+        # snapshot, and the dominance algebra has no answer for it.
+        n = len(node_ids)
+        directions = [("CSR", indptr, indices, costs)]
+        if directed:
+            directions.append(
+                ("reverse CSR", rev_indptr, rev_indices, rev_costs)
+            )
+        for where, ptr, idx, cst in directions:
+            if len(ptr) != n + 1:
+                raise BuildError(
+                    f"{where} indptr has {len(ptr)} entries for {n} nodes"
+                )
+            if int(ptr[0]) != 0 or np.any(np.diff(ptr) < 0):
+                raise BuildError(
+                    f"{where} indptr must be non-decreasing from 0"
+                )
+            if int(ptr[-1]) != len(idx) or cst.shape != (len(idx), dim):
+                raise BuildError(f"{where} array shapes are inconsistent")
+            if len(idx) and (int(idx.min()) < 0 or int(idx.max()) >= n):
+                raise BuildError(f"{where} indices fall outside [0, {n})")
+            if not np.all(np.isfinite(cst)) or np.any(cst < 0):
+                raise BuildError(
+                    f"{where} costs must be finite and non-negative"
+                )
+        return cls(
             dim=dim,
             directed=directed,
             node_ids=node_ids,
@@ -388,47 +415,6 @@ class CSRSnapshot:
             rev_indices=rev_indices,
             rev_costs=rev_costs,
         )
-
-    @classmethod
-    def _checked(cls, **arrays) -> "CSRSnapshot":
-        """Construct from ingress arrays, rejecting any the kernels
-        cannot serve with :class:`~repro.errors.BuildError`.
-
-        Beyond shapes, every value is checked: ``indptr`` must start at
-        0 and never decrease, ``indices`` must name nodes in ``[0, n)``,
-        and costs must be finite and non-negative — one NaN weight
-        would poison every exact bound computed over the snapshot, and
-        the dominance algebra has no answer for it.
-        """
-        dim = arrays["dim"]
-        n = len(arrays["node_ids"])
-        for prefix in ("", "rev_") if arrays["directed"] else ("",):
-            indptr = arrays[prefix + "indptr"]
-            indices = arrays[prefix + "indices"]
-            costs = arrays[prefix + "costs"]
-            where = "reverse CSR" if prefix else "CSR"
-            if len(indptr) != n + 1:
-                raise BuildError(
-                    f"{where} indptr has {len(indptr)} entries for {n} nodes"
-                )
-            if int(indptr[0]) != 0 or np.any(np.diff(indptr) < 0):
-                raise BuildError(
-                    f"{where} indptr must be non-decreasing from 0"
-                )
-            if int(indptr[-1]) != len(indices) or costs.shape != (
-                len(indices),
-                dim,
-            ):
-                raise BuildError(f"{where} array shapes are inconsistent")
-            if len(indices) and (
-                int(indices.min()) < 0 or int(indices.max()) >= n
-            ):
-                raise BuildError(f"{where} indices fall outside [0, {n})")
-            if not np.all(np.isfinite(costs)) or np.any(costs < 0):
-                raise BuildError(
-                    f"{where} costs must be finite and non-negative"
-                )
-        return cls(**arrays)
 
     def raw_nbytes(self) -> int:
         """Byte size of the raw (shareable) pack of this snapshot."""
@@ -444,13 +430,6 @@ class CSRSnapshot:
         meta, buffers = self.export_buffers()
         return write_pack(buffer, buffers, meta)
 
-    def to_raw_bytes(self) -> bytes:
-        """The snapshot as a standalone raw pack (mmap-able verbatim)."""
-        from repro.accel.blob import pack_bytes
-
-        meta, buffers = self.export_buffers()
-        return pack_bytes(buffers, meta)
-
     @classmethod
     def from_raw_buffer(cls, buffer) -> "CSRSnapshot":
         """Attach to a raw pack — shm segment, mmap view, or bytes.
@@ -462,66 +441,6 @@ class CSRSnapshot:
 
         meta, buffers = read_pack(buffer)
         return cls.from_buffers(meta, buffers)
-
-    # ------------------------------------------------------------------
-    # serialization (repro.store section payload)
-    # ------------------------------------------------------------------
-
-    def to_payload(self) -> bytes:
-        """Encode the snapshot as a store section payload."""
-        writer = ByteWriter()
-        writer.uvarint(self.dim)
-        writer.uvarint(1 if self.directed else 0)
-        writer.uvarint(self.num_nodes)
-        writer.deltas(self.node_ids.tolist())
-        writer.uvarint(self.num_edge_slots)
-        writer.deltas(self.indptr.tolist())
-        writer.deltas(self.indices.tolist())
-        writer.floats(self.costs.reshape(-1).tolist())
-        if self.directed:
-            writer.uvarint(len(self.rev_indices))
-            writer.deltas(self.rev_indptr.tolist())
-            writer.deltas(self.rev_indices.tolist())
-            writer.floats(self.rev_costs.reshape(-1).tolist())
-        return writer.payload()
-
-    @classmethod
-    def from_payload(cls, payload: bytes) -> "CSRSnapshot":
-        """Decode a snapshot from a store section payload (validated as
-        in :meth:`from_buffers`)."""
-        reader = ByteReader(payload)
-        dim = reader.uvarint()
-        if dim < 1:
-            raise BuildError(f"csr section carries invalid dim {dim}")
-        directed = bool(reader.uvarint())
-        n = reader.uvarint()
-        node_ids = np.asarray(reader.deltas(n), dtype=np.int64)
-        slots = reader.uvarint()
-        indptr = np.asarray(reader.deltas(n + 1), dtype=np.int32)
-        indices = np.asarray(reader.deltas(slots), dtype=np.int32)
-        costs = np.asarray(reader.floats(slots * dim), dtype=np.float64).reshape(
-            slots, dim
-        )
-        if directed:
-            rev_slots = reader.uvarint()
-            rev_indptr = np.asarray(reader.deltas(n + 1), dtype=np.int32)
-            rev_indices = np.asarray(reader.deltas(rev_slots), dtype=np.int32)
-            rev_costs = np.asarray(
-                reader.floats(rev_slots * dim), dtype=np.float64
-            ).reshape(rev_slots, dim)
-        else:
-            rev_indptr, rev_indices, rev_costs = indptr, indices, costs
-        return cls._checked(
-            dim=dim,
-            directed=directed,
-            node_ids=node_ids,
-            indptr=indptr,
-            indices=indices,
-            costs=costs,
-            rev_indptr=rev_indptr,
-            rev_indices=rev_indices,
-            rev_costs=rev_costs,
-        )
 
     def same_topology(self, other: "CSRSnapshot") -> bool:
         """Array-for-array equality (testing aid)."""

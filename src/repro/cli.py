@@ -107,13 +107,12 @@ def cmd_build(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     index = build_backbone_index(graph, _params_from(args))
     elapsed = time.perf_counter() - started
-    index.save(args.out, format=args.format)
-    stats = index.stats()
+    index.save(args.out)
     print(
         f"built backbone index in {fmt_seconds(elapsed)}: "
-        f"L={stats['height']}, |G_L.V|={stats['top_graph_nodes']}, "
-        f"{stats['label_paths']} label paths, "
-        f"{fmt_bytes(stats['size_bytes'])} -> {args.out}"
+        f"L={index.height}, |G_L.V|={index.top_graph.num_nodes}, "
+        f"{index.label_path_count()} label paths, "
+        f"{fmt_bytes(FilePath(args.out).stat().st_size)} -> {args.out}"
     )
     if args.verify:
         from repro.core.verify import verify_index
@@ -643,11 +642,10 @@ def cmd_warm(args: argparse.Namespace) -> int:
     index = engine.index
     assert index is not None
     index.save(args.out)
-    stats = index.stats()
     print(
         f"warmed: index built in {fmt_seconds(timings['index_seconds'])} "
-        f"(L={stats['height']}, {stats['label_paths']} label paths, "
-        f"{fmt_bytes(stats['size_bytes'])}) -> {args.out}"
+        f"(L={index.height}, {index.label_path_count()} label paths, "
+        f"{fmt_bytes(FilePath(args.out).stat().st_size)}) -> {args.out}"
     )
     return 0
 
@@ -690,12 +688,12 @@ def cmd_index_save(args: argparse.Namespace) -> int:
     index = BackboneIndex.load(args.index, graph)
     load_seconds = time.perf_counter() - started
     started = time.perf_counter()
-    index.save(args.out, format=args.format, compress=not args.no_compress)
+    index.save(args.out, compress=not args.no_compress)
     save_seconds = time.perf_counter() - started
     size = FilePath(args.out).stat().st_size
     print(
         f"loaded {args.index} in {fmt_seconds(load_seconds)}, "
-        f"saved {args.format} ({fmt_bytes(size)}) in "
+        f"saved ({fmt_bytes(size)}) in "
         f"{fmt_seconds(save_seconds)} -> {args.out}"
     )
     return 0
@@ -706,41 +704,18 @@ def cmd_index_load(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     index = BackboneIndex.load(args.index, graph, lazy=args.lazy)
     elapsed = time.perf_counter() - started
-    stats = index.stats()
     lazy_note = " (lazy: label levels deferred)" if args.lazy else ""
     print(
         f"loaded index in {fmt_seconds(elapsed)}{lazy_note}: "
-        f"L={stats['height']}, |G_L.V|={stats['top_graph_nodes']}"
+        f"L={index.height}, |G_L.V|={index.top_graph.num_nodes}"
     )
     return 0
 
 
 def cmd_index_inspect(args: argparse.Namespace) -> int:
-    from repro.store import inspect_store, is_store_file
+    from repro.store import inspect_store
 
-    if is_store_file(args.index):
-        print(json.dumps(inspect_store(args.index), indent=2))
-        return 0
-    with open(args.index) as handle:
-        document = json.load(handle)
-    if document.get("format") != "repro-backbone-index":
-        print(f"error: {args.index}: not a backbone index file",
-              file=sys.stderr)
-        return 1
-    print(
-        json.dumps(
-            {
-                "path": args.index,
-                "format": document.get("format"),
-                "version": document.get("version"),
-                "dim": document.get("dim"),
-                "levels": len(document.get("levels", [])),
-                "file_bytes": FilePath(args.index).stat().st_size,
-                "params": document.get("params"),
-            },
-            indent=2,
-        )
-    )
+    print(json.dumps(inspect_store(args.index), indent=2))
     return 0
 
 
@@ -1199,9 +1174,6 @@ def build_parser() -> argparse.ArgumentParser:
     build = commands.add_parser("build", help="build a backbone index")
     build.add_argument("graph", help="DIMACS .gr file")
     build.add_argument("--out", required=True, help="index output file")
-    build.add_argument("--format", choices=["binary", "json"],
-                       default="binary",
-                       help="binary store (default) or legacy JSON")
     build.add_argument("--verify", action="store_true",
                        help="run structural self-validation after building")
     _add_param_options(build)
@@ -1266,9 +1238,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="saved index from 'repro build'/'repro warm' "
                             "(built on demand when omitted)")
     serve.add_argument("--store",
-                       help="warm-start source: an index file (binary or "
-                            "JSON) or a snapshot directory, in which case "
-                            "the newest valid snapshot is recovered")
+                       help="warm-start source: an index store file or a "
+                            "snapshot directory, in which case the newest "
+                            "valid snapshot is recovered")
     serve.add_argument("--queries", default="-",
                        help="query file, or '-' for stdin (default)")
     serve.add_argument("--workers", type=int, default=4,
@@ -1367,8 +1339,8 @@ def build_parser() -> argparse.ArgumentParser:
         "index",
         help="persist, inspect, and snapshot index stores",
         description=(
-            "Maintenance commands for persisted indexes: convert between "
-            "the binary store and legacy JSON formats, time a warm-start "
+            "Maintenance commands for persisted index stores: re-save a "
+            "store (upgrading an older format version), time a warm-start "
             "load, dump a store file's header and section table, and "
             "write retention-pruned generation snapshots."
         ),
@@ -1376,14 +1348,11 @@ def build_parser() -> argparse.ArgumentParser:
     index_sub = index_cmd.add_subparsers(dest="index_command", required=True)
 
     index_save = index_sub.add_parser(
-        "save", help="re-save an index in another format"
+        "save", help="re-save an index store in the current format"
     )
     index_save.add_argument("graph", help="DIMACS .gr file")
-    index_save.add_argument("index", help="existing index file (any format)")
+    index_save.add_argument("index", help="existing index store")
     index_save.add_argument("--out", required=True, help="output index file")
-    index_save.add_argument("--format", choices=["binary", "json"],
-                            default="binary",
-                            help="output format (default binary)")
     index_save.add_argument("--no-compress", action="store_true",
                             dest="no_compress",
                             help="disable zlib section compression")
@@ -1393,16 +1362,15 @@ def build_parser() -> argparse.ArgumentParser:
         "load", help="load an index and report warm-start timing"
     )
     index_load.add_argument("graph", help="DIMACS .gr file")
-    index_load.add_argument("index", help="index file (any format)")
+    index_load.add_argument("index", help="index store")
     index_load.add_argument("--lazy", action="store_true",
-                            help="defer label levels to first access "
-                                 "(binary stores only)")
+                            help="defer label levels to first access")
     index_load.set_defaults(handler=cmd_index_load)
 
     index_inspect = index_sub.add_parser(
         "inspect", help="dump an index file's header and sections as JSON"
     )
-    index_inspect.add_argument("index", help="index file (any format)")
+    index_inspect.add_argument("index", help="index store")
     index_inspect.set_defaults(handler=cmd_index_inspect)
 
     index_snapshot = index_sub.add_parser(

@@ -9,13 +9,11 @@ query evaluation in :mod:`repro.core.query`.
 
 from __future__ import annotations
 
-import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path as FilePath
 
 from repro.core.labels import LevelIndex
-from repro.core.params import AggressiveMode, BackboneParams, ClusteringStrategy
+from repro.core.params import BackboneParams
 from repro.errors import BuildError
 from repro.graph.mcrn import MultiCostGraph
 from repro.paths.dominance import CostVector
@@ -117,10 +115,6 @@ class BackboneIndex:
             self._csr_top = CSRSnapshot.from_graph(self.top_graph, tracer=tracer)
         return self._csr_top
 
-    def install_csr_top(self, snapshot) -> None:
-        """Install a snapshot restored by :mod:`repro.store` (warm start)."""
-        self._csr_top = snapshot
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
@@ -146,43 +140,13 @@ class BackboneIndex:
         what the index costs to persist and ship, not what CPython's
         boxed objects happen to occupy.  The serialization is cached;
         a :class:`BackboneIndex` is immutable after construction
-        (maintenance builds a new one).  The old per-object estimate
-        remains available as :meth:`estimated_size_bytes`.
+        (maintenance builds a new one).
         """
         if self._size_bytes_cache is None:
             from repro.store.writer import serialize_index
 
             self._size_bytes_cache = len(serialize_index(self))
         return self._size_bytes_cache
-
-    def estimated_size_bytes(self) -> int:
-        """Estimated in-memory footprint of the index payload.
-
-        Counts label path nodes and costs, the top graph, and
-        provenance sequences at boxed-object sizes
-        (``sys.getsizeof``) — an upper-bound estimate of what the live
-        Python structures occupy, kept for comparison with the
-        measured :meth:`size_bytes`.
-        """
-        int_size = sys.getsizeof(0)
-        float_size = sys.getsizeof(0.0)
-        total = 0
-        for level in self.levels:
-            for node in level.nodes():
-                label = level.get(node)
-                assert label is not None
-                for entrance, paths in label.entrances.items():
-                    total += 2 * int_size  # (node, entrance) key
-                    for path in paths:
-                        total += len(path.nodes) * int_size
-                        total += self.dim * float_size
-        total += self.top_graph.num_nodes * int_size
-        total += self.top_graph.num_edge_entries * (
-            2 * int_size + self.dim * float_size
-        )
-        for sequence in self.provenance.values():
-            total += len(sequence) * int_size
-        return total
 
     def stats(self) -> dict:
         """A summary dictionary (levels, sizes, counts) for reporting."""
@@ -193,7 +157,6 @@ class BackboneIndex:
             "top_graph_nodes": self.top_graph.num_nodes,
             "top_graph_edges": self.top_graph.num_edge_entries,
             "size_bytes": self.size_bytes(),
-            "estimated_size_bytes": self.estimated_size_bytes(),
             "build_seconds": self.build_stats.elapsed_seconds,
             "shortcuts": len(self.provenance),
         }
@@ -311,67 +274,14 @@ class BackboneIndex:
     # serialization
     # ------------------------------------------------------------------
 
-    def save(
-        self,
-        path: FilePath | str,
-        *,
-        format: str = "binary",
-        compress: bool = True,
-    ) -> None:
-        """Persist the index.
+    def save(self, path: FilePath | str, *, compress: bool = True) -> None:
+        """Persist the index as a :mod:`repro.store` binary store file.
 
-        ``format="binary"`` (default) writes the compact, checksummed
-        :mod:`repro.store` format; ``format="json"`` writes the legacy
-        verbose JSON document.  Both writes are atomic (tmp file + ``os.replace``).
+        The write is atomic (tmp file + ``os.replace``).
         """
-        if format == "binary":
-            from repro.store.writer import save_index
+        from repro.store.writer import save_index
 
-            save_index(self, path, compress=compress)
-            return
-        if format != "json":
-            raise BuildError(
-                f"unknown index format {format!r} (use 'binary' or 'json')"
-            )
-        document = {
-            "format": "repro-backbone-index",
-            "version": 2,
-            "dim": self.dim,
-            "params": {
-                "m_max": self.params.m_max,
-                "m_min": self.params.m_min,
-                "p": self.params.p,
-                "p_ind": self.params.p_ind,
-                "aggressive": self.params.aggressive.value,
-                "clustering": self.params.clustering.value,
-            },
-            "levels": [
-                {
-                    str(node): {
-                        str(entrance): [
-                            {"nodes": list(p.nodes), "cost": list(p.cost)}
-                            for p in paths
-                        ]
-                        for entrance, paths in level.get(node).entrances.items()
-                    }
-                    for node in level.nodes()
-                }
-                for level in self.levels
-            ],
-            "top_graph": {
-                "nodes": sorted(self.top_graph.nodes()),
-                "edges": [
-                    [u, v, list(cost)] for u, v, cost in self.top_graph.edges()
-                ],
-            },
-            "provenance": [
-                {"u": u, "v": v, "cost": list(cost), "seq": list(sequence)}
-                for (u, v, cost), sequence in self.provenance.items()
-            ],
-        }
-        from repro.store.writer import atomic_write_bytes
-
-        atomic_write_bytes(path, json.dumps(document).encode("utf-8"))
+        save_index(self, path, compress=compress)
 
     @classmethod
     def load(
@@ -381,67 +291,18 @@ class BackboneIndex:
         *,
         lazy: bool = False,
     ) -> "BackboneIndex":
-        """Load an index saved by :meth:`save` (either format).
+        """Load an index saved by :meth:`save`.
 
-        The format is sniffed from the file's magic bytes: binary
-        store files go through :mod:`repro.store` (``lazy=True`` defers
-        the per-level label sections until first access); anything else
-        is parsed as the legacy JSON document.  The original graph is
-        supplied by the caller (the index file stores only the derived
-        structures, matching the paper's setup where graphs live in
-        the database and the index besides it).
+        ``lazy=True`` defers the per-level label sections until first
+        access.  The original graph is supplied by the caller (the
+        index file stores only the derived structures, matching the
+        paper's setup where graphs live in the database and the index
+        besides it).  A file that is not a store raises
+        :class:`~repro.errors.BuildError`.
         """
-        from repro.store.reader import is_store_file, load_index
+        from repro.store.reader import load_index
 
-        if is_store_file(path):
-            return load_index(path, original_graph, lazy=lazy)
-        with open(path) as handle:
-            document = json.load(handle)
-        if document.get("format") != "repro-backbone-index":
-            raise BuildError(f"{path}: not a backbone index file")
-        version = document.get("version")
-        if version not in (1, 2):
-            raise BuildError(f"{path}: unsupported index version")
-        raw = document["params"]
-        params = BackboneParams(
-            m_max=raw["m_max"],
-            m_min=raw["m_min"],
-            p=raw["p"],
-            p_ind=raw["p_ind"],
-            aggressive=AggressiveMode(raw["aggressive"]),
-            clustering=ClusteringStrategy(raw["clustering"]),
-        )
-        levels: list[LevelIndex] = []
-        for level_doc in document["levels"]:
-            level = LevelIndex()
-            for node_str, entrances in level_doc.items():
-                node = int(node_str)
-                for entrance_str, paths in entrances.items():
-                    entrance = int(entrance_str)
-                    for payload in paths:
-                        level.add_path(
-                            node,
-                            entrance,
-                            Path(payload["nodes"], payload["cost"]),
-                        )
-            levels.append(level)
-        top_graph = MultiCostGraph(document["dim"])
-        for node in document["top_graph"]["nodes"]:
-            top_graph.add_node(node)
-        for u, v, cost in document["top_graph"]["edges"]:
-            top_graph.add_edge(u, v, cost)
-        provenance = {
-            (entry["u"], entry["v"], tuple(entry["cost"])): tuple(entry["seq"])
-            for entry in document["provenance"]
-        }
-        return cls(
-            original_graph=original_graph,
-            params=params,
-            levels=levels,
-            top_graph=top_graph,
-            provenance=provenance,
-            build_stats=BuildStats(),
-        )
+        return load_index(path, original_graph, lazy=lazy)
 
     def __repr__(self) -> str:
         return (

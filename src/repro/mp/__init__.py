@@ -3,9 +3,8 @@
 One process cannot push the flat kernels past the GIL; this package
 fans serving out over a pool of worker processes that all read the
 *same* generation-stamped :class:`~repro.accel.csr.CSRSnapshot` —
-published once into ``multiprocessing.shared_memory`` (or mmap'd from
-the ``csrraw`` section of an RBIX store file) and attached zero-copy by
-every worker:
+published once into ``multiprocessing.shared_memory`` and attached
+zero-copy by every worker:
 
 * :mod:`repro.mp.shm` — publishing snapshots into named shared-memory
   segments and attaching back as read-only array views.
@@ -28,7 +27,7 @@ from repro.mp.dispatcher import (
     MPQueryError,
     MPServingError,
 )
-from repro.mp.shm import SharedCSR, map_store_csr
+from repro.mp.shm import SharedCSR
 
 __all__ = [
     "MPBatchResult",
@@ -36,5 +35,4 @@ __all__ = [
     "MPQueryError",
     "MPServingError",
     "SharedCSR",
-    "map_store_csr",
 ]

@@ -7,14 +7,9 @@ into the segment — and every attacher gets read-only numpy views of
 the *same* physical pages: attaching is O(header), independent of the
 snapshot size, which is what keeps per-worker RSS flat.
 
-Two attach paths exist:
-
-* ``SharedCSR.attach(name)`` — open the segment by name (spawned
-  workers, other processes).  Forked workers inherit the publisher's
-  mapping and skip even this step.
-* :func:`map_store_csr` — mmap the ``csrraw`` section of an RBIX store
-  file; every process mapping the same file shares one page-cache copy
-  with no shm segment at all.
+``SharedCSR.attach(name)`` opens the segment by name (spawned
+workers, other processes).  Forked workers inherit the publisher's
+mapping and skip even this step.
 
 Segment lifetime is explicit: the publisher ``unlink()``s when the
 generation drains (see :class:`repro.mp.dispatcher.MPBatchServer`);
@@ -173,17 +168,3 @@ class SharedCSR:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         role = "publisher" if self._owner else "attached"
         return f"SharedCSR({self.name!r}, {role}, {self.nbytes} bytes)"
-
-
-def map_store_csr(path) -> CSRSnapshot | None:
-    """Attach to the G_L snapshot persisted in an RBIX store, zero-copy.
-
-    Opens the store, mmaps its ``csrraw`` section, and returns a
-    snapshot whose arrays view the mapping (the mmap stays alive
-    through the arrays' ``base`` chain).  Returns None when the file
-    predates the raw section; callers then fall back to the decoded
-    ``csr`` section or a fresh build.
-    """
-    from repro.store.reader import IndexStore
-
-    return IndexStore(path).map_csr()

@@ -64,6 +64,8 @@ class ExactBounds:
     bounds, which lets the search drop them immediately.  ``within``
     confines the reverse searches to the node set a restricted search
     may enter: still admissible for that search, and tighter.
+    ``graph``, ``targets`` and ``within`` are kept so a caller can tell
+    whether these tables are the ones it would build itself.
     """
 
     def __init__(
@@ -73,6 +75,9 @@ class ExactBounds:
         *,
         within: Container[int] | None = None,
     ) -> None:
+        self.graph = graph
+        self.targets = tuple(targets)
+        self.within = within
         self._dim = graph.dim
         tables: list[dict[int, float]] = [{} for _ in range(graph.dim)]
         for target in targets:

@@ -379,7 +379,7 @@ def run_case(
                 tempfile.TemporaryDirectory(prefix="repro-qa-")
             )
             store_path = FilePath(tmp) / "case.rbi"
-            index.save(store_path, format="binary")
+            index.save(store_path)
             loaded["store_eager"] = BackboneIndex.load(
                 store_path, graph, lazy=False
             )

@@ -115,7 +115,18 @@ def skyline_paths(
             # The restricted search enters only restricted nodes (plus
             # its source), so reverse Dijkstra inside that set bounds it.
             within = _WithNode(restrict_to, source)
-        exact = ExactBounds(graph, [target], within=within)
+        if (
+            isinstance(bounds, ExactBounds)
+            and bounds.graph is graph
+            and bounds.targets == (target,)
+            and bounds.within is None
+            and within is None
+        ):
+            # An unrestricted exact provider for this target already
+            # holds the tables the seeds walk.
+            exact = bounds
+        else:
+            exact = ExactBounds(graph, [target], within=within)
     if bounds is None:
         bounds = exact
 

@@ -385,12 +385,11 @@ class SkylineQueryEngine:
     ) -> dict:
         """Warm-start: install a persisted index instead of building one.
 
-        ``path`` is either a single index file (binary store or legacy
-        JSON, sniffed) or a snapshot directory, in which case the
-        newest valid snapshot is recovered (corrupt files skipped).
-        With ``lazy=True`` (default) a binary store only materializes
-        the top graph and provenance up front; label levels fault in on
-        first use.  Returns load timings plus what was loaded.  Raises
+        ``path`` is either a single index store file or a snapshot
+        directory, in which case the newest valid snapshot is recovered
+        (corrupt files skipped).  With ``lazy=True`` (default) the store
+        only materializes the top graph and provenance up front; label
+        levels fault in on first use.  Returns load timings plus what was loaded.  Raises
         :class:`~repro.errors.BuildError` when the path holds no
         loadable index.
         """

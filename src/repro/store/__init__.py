@@ -9,9 +9,6 @@ reloaded far faster than it can be rebuilt.  This package provides:
   node ids, ``array``-packed cost floats, optional zlib compression,
   and a CRC32 per section (:mod:`repro.store.format`,
   :mod:`repro.store.writer`, :mod:`repro.store.reader`);
-* **CSR snapshot persistence** — the serialized index includes the
-  CSR snapshot of G_L, compressed and as a raw mmap-able array pack, so
-  a loaded index serves Alg. 3 without rebuilding it;
 * **lazy section loading** — :func:`load_index` with ``lazy=True``
   restores the top graph and provenance immediately and
   faults per-level label sections in on first access, which is what a
@@ -23,7 +20,9 @@ reloaded far faster than it can be rebuilt.  This package provides:
   (:mod:`repro.store.snapshot`).
 
 :meth:`repro.core.index.BackboneIndex.save` and ``.load`` delegate
-here; the verbose JSON dump remains readable as a legacy format.
+here; this binary store is the index's only stored form.  A store
+holds only what the index cannot cheaply derive: G_L's CSR snapshot
+is rebuilt from the top graph on first use.
 """
 
 from repro.store.format import (
@@ -38,7 +37,6 @@ from repro.store.reader import (
     IndexStore,
     LazyLevelList,
     inspect_store,
-    is_store_file,
     load_index,
 )
 from repro.store.snapshot import Snapshotter
@@ -54,7 +52,6 @@ __all__ = [
     "SECTION_TOP_GRAPH",
     "Snapshotter",
     "inspect_store",
-    "is_store_file",
     "level_section_tag",
     "load_index",
     "save_index",

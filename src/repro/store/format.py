@@ -18,7 +18,11 @@ versions outright rather than guessing (a versioned header is cheap,
 silent misparses are not).  Version 2 stopped writing version 1's
 bound-table section over G_L and its params key.  Readers accept
 version 1 files too: sections are looked up by tag and params by key,
-so the two are simply never read.
+so the two are simply never read.  The same holds for the two G_L
+CSR snapshot sections earlier writers emitted in both versions (one
+varint-encoded, one a raw array pack): a loaded index rebuilds G_L's
+CSR from the ``topgraph`` section on first use, so no reader looks
+those tags up.
 """
 
 from __future__ import annotations
@@ -41,19 +45,6 @@ SECTION_FLAG_ZLIB = 0x1
 SECTION_PARAMS = "params"
 SECTION_TOP_GRAPH = "topgraph"
 SECTION_PROVENANCE = "provenance"
-# CSR snapshot of G_L (repro.accel); absent in files written before
-# snapshots were stored — readers treat it as optional.
-SECTION_CSR = "csr"
-# The same snapshot as a raw array pack (repro.accel.blob), written
-# uncompressed so multi-process readers can mmap the section and attach
-# zero-copy (repro.mp).  Optional like ``csr``; decoded readers prefer
-# ``csr`` (smaller), mapping readers require ``csrraw``.
-SECTION_CSR_RAW = "csrraw"
-
-# Sections that must stay byte-verbatim on disk (mmap attach targets);
-# the writer never compresses them.
-RAW_SECTIONS = frozenset({SECTION_CSR_RAW})
-
 # Guard against a corrupt header driving a huge allocation loop.
 MAX_SECTIONS = 100_000
 

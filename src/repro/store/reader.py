@@ -15,7 +15,6 @@ version, ragged payload — surfaces as a clean
 from __future__ import annotations
 
 import json
-import mmap
 import threading
 import zlib
 from collections.abc import Sequence
@@ -30,8 +29,6 @@ from repro.store.format import (
     MAGIC,
     MAX_SECTIONS,
     READABLE_VERSIONS,
-    SECTION_CSR,
-    SECTION_CSR_RAW,
     SECTION_PARAMS,
     SECTION_PROVENANCE,
     SECTION_STRUCT,
@@ -45,15 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.index import BackboneIndex
     from repro.core.labels import LevelIndex
     from repro.graph.mcrn import MultiCostGraph
-
-
-def is_store_file(path: FilePath | str) -> bool:
-    """True when the file starts with the binary store magic."""
-    try:
-        with open(path, "rb") as handle:
-            return handle.read(len(MAGIC)) == MAGIC
-    except OSError:
-        return False
 
 
 class IndexStore:
@@ -105,9 +93,6 @@ class IndexStore:
                 crc32=crc,
             )
         self._size = self.path.stat().st_size
-        self._mmap: mmap.mmap | None = None
-        self._mmap_lock = threading.Lock()
-        self._crc_checked: set[str] = set()
 
     # ------------------------------------------------------------------
     # raw section access
@@ -154,90 +139,6 @@ class IndexStore:
                 f"expected {info.raw_len}"
             )
         return raw
-
-    # ------------------------------------------------------------------
-    # mmap section views (repro.mp zero-copy attach)
-    # ------------------------------------------------------------------
-
-    def _mapped(self) -> mmap.mmap:
-        """The whole file memory-mapped read-only, opened at most once."""
-        mapped = self._mmap
-        if mapped is None:
-            with self._mmap_lock:
-                if self._mmap is None:
-                    try:
-                        with open(self.path, "rb") as handle:
-                            self._mmap = mmap.mmap(
-                                handle.fileno(), 0, access=mmap.ACCESS_READ
-                            )
-                    except (OSError, ValueError) as error:
-                        raise BuildError(
-                            f"{self.path}: cannot mmap store: {error}"
-                        ) from error
-                mapped = self._mmap
-        return mapped
-
-    def section_view(self, tag: str) -> memoryview:
-        """A read-only view of one *uncompressed* section, no copies.
-
-        The view aliases the page cache through an mmap of the store
-        file; nothing is materialized, and the mapping stays alive for
-        as long as any view (or array built on one) references it.  The
-        section's CRC is verified on first access — that touches the
-        pages once but allocates nothing.  Compressed sections cannot be
-        viewed in place; use :meth:`section_bytes` for those.
-        """
-        info = self.sections.get(tag)
-        if info is None:
-            raise BuildError(f"{self.path}: missing section {tag!r}")
-        if info.compressed:
-            raise BuildError(
-                f"{self.path}: section {tag!r} is compressed and cannot "
-                f"be mapped in place"
-            )
-        if info.offset + info.stored_len > self._size:
-            raise BuildError(
-                f"{self.path}: section {tag!r} truncated "
-                f"(need {info.offset + info.stored_len} bytes, "
-                f"file has {self._size})"
-            )
-        view = memoryview(self._mapped())[
-            info.offset : info.offset + info.stored_len
-        ]
-        if tag not in self._crc_checked:
-            if zlib.crc32(view) & 0xFFFFFFFF != info.crc32:
-                raise BuildError(
-                    f"{self.path}: section {tag!r} failed its CRC32 check"
-                )
-            self._crc_checked.add(tag)
-        return view
-
-    def map_csr(self):
-        """Attach to the persisted G_L CSR snapshot zero-copy, or None.
-
-        Requires the ``csrraw`` section (files written before the
-        multi-process layer lack it — callers fall back to
-        :meth:`load_csr`).  The returned snapshot's arrays are read-only
-        views into the mmap'd file; every process mapping the same
-        store file shares one page-cache copy of the buffers.
-        """
-        if SECTION_CSR_RAW not in self.sections:
-            return None
-        from repro.accel.csr import CSRSnapshot
-
-        return CSRSnapshot.from_raw_buffer(self.section_view(SECTION_CSR_RAW))
-
-    def close(self) -> None:
-        """Release the mmap if no exported views pin it (best effort)."""
-        with self._mmap_lock:
-            if self._mmap is not None:
-                try:
-                    self._mmap.close()
-                except BufferError:
-                    # Live section views still alias the mapping; the OS
-                    # reclaims it when the last one is garbage-collected.
-                    return
-                self._mmap = None
 
     # ------------------------------------------------------------------
     # decoding
@@ -314,18 +215,6 @@ class IndexStore:
             graph.add_edge(u, v, reader.floats(self.dim))
         return graph
 
-    def load_csr(self):
-        """Decode the persisted CSR snapshot of G_L, or None if absent.
-
-        Files written before CSR snapshots existed simply lack the
-        section; the index then rebuilds the snapshot on first use.
-        """
-        if SECTION_CSR not in self.sections:
-            return None
-        from repro.accel.csr import CSRSnapshot
-
-        return CSRSnapshot.from_payload(self.section_bytes(SECTION_CSR))
-
     def load_provenance(self) -> dict:
         """Decode the shortcut provenance map, insertion order intact."""
         reader = ByteReader(self.section_bytes(SECTION_PROVENANCE))
@@ -371,9 +260,6 @@ class IndexStore:
                 provenance=provenance,
                 build_stats=BuildStats(),
             )
-            snapshot = self.load_csr()
-            if snapshot is not None:
-                index.install_csr_top(snapshot)
             if span.enabled:
                 span.set(
                     bytes=self._size,

@@ -22,9 +22,6 @@ from repro.store.format import (
     FORMAT_VERSION,
     HEADER_STRUCT,
     MAGIC,
-    RAW_SECTIONS,
-    SECTION_CSR,
-    SECTION_CSR_RAW,
     SECTION_FLAG_ZLIB,
     SECTION_PARAMS,
     SECTION_PROVENANCE,
@@ -159,9 +156,7 @@ def serialize_index(index: "BackboneIndex", *, compress: bool = True) -> bytes:
     """Serialize a built index to store-format bytes."""
     sections: list[tuple[bytes, bytes, int, int]] = []  # tag, stored, flags, raw_len
     for tag, raw in _iter_sections(index):
-        packed_tag, stored, flags = _finish_section(
-            tag, raw, compress and tag not in RAW_SECTIONS
-        )
+        packed_tag, stored, flags = _finish_section(tag, raw, compress)
         sections.append((packed_tag, stored, flags, len(raw)))
 
     header = HEADER_STRUCT.pack(
@@ -183,12 +178,6 @@ def _iter_sections(index: "BackboneIndex"):
     yield SECTION_PARAMS, encode_params(index)
     yield SECTION_TOP_GRAPH, encode_top_graph(index.top_graph)
     yield SECTION_PROVENANCE, encode_provenance(index)
-    # Persisting the G_L CSR snapshot lets a warm start serve flat
-    # queries without rebuilding it (repro.accel).  The raw twin is the
-    # same snapshot as an uncompressed array pack so multi-process
-    # readers can mmap it and attach zero-copy (repro.mp).
-    yield SECTION_CSR, index.csr_top().to_payload()
-    yield SECTION_CSR_RAW, index.csr_top().to_raw_bytes()
     for i, level in enumerate(index.levels):
         yield level_section_tag(i), encode_level(level)
 
@@ -233,5 +222,5 @@ def save_index(
     return {
         "path": str(path),
         "bytes": len(data),
-        "sections": 6 + index.height,
+        "sections": HEADER_STRUCT.unpack_from(data)[-1],
     }

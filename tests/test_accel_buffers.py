@@ -2,8 +2,8 @@
 
 The multi-process serving layer only works if the buffer exchange is
 *exactly* lossless: a snapshot exported to raw buffers — or packed to
-bytes, a shared segment, or a store section — and attached back must
-be bit-identical, and the attached views must be read-only (a worker
+bytes or a shared segment — and attached back must be bit-identical,
+and the attached views must be read-only (a worker
 scribbling on shared pages would corrupt every other worker's
 answers).  These are property tests over random multigraphs.
 """
@@ -124,8 +124,15 @@ class TestBufferRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# raw pack (the shm / mmap wire format)
+# raw pack (the shm wire format)
 # ----------------------------------------------------------------------
+
+
+def _raw_bytes(snapshot: CSRSnapshot) -> bytes:
+    """The snapshot's raw pack, written as into a shared segment."""
+    buffer = bytearray(snapshot.raw_nbytes())
+    assert snapshot.write_raw_into(buffer) == len(buffer)
+    return bytes(buffer)
 
 
 class TestRawPack:
@@ -133,7 +140,7 @@ class TestRawPack:
     @settings(max_examples=60, deadline=None)
     def test_raw_bytes_round_trip_is_bit_identical(self, seed):
         snapshot = CSRSnapshot.from_graph(random_multigraph(seed))
-        raw = snapshot.to_raw_bytes()
+        raw = _raw_bytes(snapshot)
         assert len(raw) == snapshot.raw_nbytes()
         rebuilt = CSRSnapshot.from_raw_buffer(raw)
         assert_identical(snapshot, rebuilt)
@@ -144,13 +151,14 @@ class TestRawPack:
         snapshot = CSRSnapshot.from_graph(random_multigraph(seed))
         buffer = bytearray(snapshot.raw_nbytes() + 7)  # slack tolerated
         written = snapshot.write_raw_into(buffer)
-        assert bytes(buffer[:written]) == snapshot.to_raw_bytes()
+        meta, buffers = snapshot.export_buffers()
+        assert bytes(buffer[:written]) == pack_bytes(buffers, meta)
 
     @given(st.integers(min_value=0, max_value=200))
     @settings(max_examples=30, deadline=None)
     def test_encoding_is_deterministic(self, seed):
         snapshot = CSRSnapshot.from_graph(random_multigraph(seed))
-        assert snapshot.to_raw_bytes() == snapshot.to_raw_bytes()
+        assert _raw_bytes(snapshot) == _raw_bytes(snapshot)
 
     def test_pack_rejects_corruption(self):
         arrays = {"a": np.arange(5, dtype=np.int64)}
@@ -184,33 +192,11 @@ class TestRawPack:
 
 
 # ----------------------------------------------------------------------
-# store csrraw section + shared-memory segments
+# shared-memory segments
 # ----------------------------------------------------------------------
 
 
 class TestSharedAttachment:
-    @given(seed=st.integers(min_value=0, max_value=200))
-    @settings(max_examples=15, deadline=None)
-    def test_store_mmap_matches_decoded_section(self, seed, tmp_path_factory):
-        from repro.core import build_backbone_index
-        from repro.qa.workload import CaseSpec, build_case, qa_params
-        from repro.store.reader import IndexStore
-        from repro.store.writer import save_index
-
-        case = build_case(
-            CaseSpec.from_seed(seed, n_nodes=30, n_queries=0, n_updates=0)
-        )
-        index = build_backbone_index(case.graph, qa_params(case.spec))
-        path = tmp_path_factory.mktemp("store") / f"case{seed}.rbi"
-        save_index(index, path)
-        store = IndexStore(path)
-        mapped = store.map_csr()
-        decoded = store.load_csr()
-        assert mapped is not None and decoded is not None
-        assert_identical(decoded, mapped)
-        assert not mapped.indices.flags.writeable
-        store.close()
-
     def test_shared_segment_publish_attach_round_trip(self):
         from repro.mp.shm import MPServingError, SharedCSR
 

@@ -20,7 +20,7 @@ def network_files(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def index_file(network_files, tmp_path_factory):
-    out = tmp_path_factory.mktemp("cli-index") / "net.index.json"
+    out = tmp_path_factory.mktemp("cli-index") / "net.rbi"
     code = main(
         [
             "build",
@@ -46,7 +46,7 @@ class TestGenerate:
         assert (network_files.parent / "net.co").exists()
 
     def test_build_with_verify(self, network_files, tmp_path, capsys):
-        out = tmp_path / "verified.index.json"
+        out = tmp_path / "verified.rbi"
         code = main(
             [
                 "build",
@@ -169,6 +169,77 @@ class TestStats:
         )
         out = capsys.readouterr().out
         assert "index" in out and "levels" in out
+
+
+class TestIndexCommands:
+    def test_build_reports_the_saved_file_size(
+        self, network_files, tmp_path, capsys
+    ):
+        from repro.eval.reporting import fmt_bytes
+
+        out = tmp_path / "sized.rbi"
+        code = main(
+            ["build", f"{network_files}.gr", "--out", str(out),
+             "--m-max", "25", "--m-min", "5", "--p", "0.1"]
+        )
+        assert code == 0
+        assert f"{fmt_bytes(out.stat().st_size)} -> {out}" in (
+            capsys.readouterr().out
+        )
+
+    def test_lazy_load_faults_in_no_level(
+        self, network_files, index_file, monkeypatch, capsys
+    ):
+        from repro.core.index import BackboneIndex
+
+        loaded = []
+        load = BackboneIndex.load
+
+        def spy(*args, **kwargs):
+            index = load(*args, **kwargs)
+            loaded.append(index)
+            return index
+
+        monkeypatch.setattr(BackboneIndex, "load", spy)
+        code = main(
+            ["index", "load", f"{network_files}.gr", str(index_file), "--lazy"]
+        )
+        assert code == 0
+        [index] = loaded
+        assert index.levels.materialized_count() == 0
+        assert f"L={index.height}" in capsys.readouterr().out
+
+    def test_save_resaves_a_store(self, network_files, index_file, tmp_path):
+        from repro.store import IndexStore
+
+        out = tmp_path / "resaved.rbi"
+        code = main(
+            ["index", "save", f"{network_files}.gr", str(index_file),
+             "--out", str(out)]
+        )
+        assert code == 0
+        original, resaved = IndexStore(index_file), IndexStore(out)
+        assert resaved.version == 2
+        assert list(resaved.sections) == list(original.sections)
+        # Only the params section differs: it records the build time.
+        for tag in original.sections:
+            if tag != "params":
+                assert resaved.section_bytes(tag) == (
+                    original.section_bytes(tag)
+                )
+
+    def test_format_option_is_gone(self, network_files, index_file, tmp_path):
+        with pytest.raises(SystemExit):
+            main(
+                ["index", "save", f"{network_files}.gr", str(index_file),
+                 "--out", str(tmp_path / "x.json"), "--format", "json"]
+            )
+
+    def test_inspect_rejects_a_non_store_file(self, tmp_path, capsys):
+        path = tmp_path / "index.json"
+        path.write_text('{"format": "repro-backbone-index"}')
+        assert main(["index", "inspect", str(path)]) == 1
+        assert "not a backbone index store" in capsys.readouterr().err
 
 
 class TestDatasets:

@@ -133,7 +133,7 @@ def test_save_load_equivalence(seed, n_nodes, tmp_path_factory):
     index = build_backbone_index(
         graph, BackboneParams(m_max=6, m_min=1, p=0.1)
     )
-    path = tmp_path_factory.mktemp("roundtrip") / "index.json"
+    path = tmp_path_factory.mktemp("roundtrip") / "index.rbi"
     index.save(path)
     loaded = BackboneIndex.load(path, graph)
     for target in range(1, n_nodes, max(1, n_nodes // 4)):

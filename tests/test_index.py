@@ -58,7 +58,7 @@ class TestStats:
 
 class TestSaveLoad:
     def test_roundtrip_preserves_queries(self, tmp_path, network, index):
-        path = tmp_path / "index.json"
+        path = tmp_path / "index.rbi"
         index.save(path)
         loaded = BackboneIndex.load(path, network)
         assert loaded.height == index.height
@@ -135,13 +135,12 @@ class TestNoLandmarkIndex:
         assert verify_index(built).ok
         nodes = sorted(graph.nodes())
         source, target = nodes[3], nodes[-4]
-        for fmt in ("binary", "json"):
-            path = tmp_path / f"index.{fmt}"
-            built.save(path, format=fmt)
-            loaded = BackboneIndex.load(path, graph)
-            assert costs_of(backbone_query(loaded, source, target).paths) == (
-                costs_of(backbone_query(built, source, target).paths)
-            )
+        path = tmp_path / "index.rbi"
+        built.save(path)
+        loaded = BackboneIndex.load(path, graph)
+        assert costs_of(backbone_query(loaded, source, target).paths) == (
+            costs_of(backbone_query(built, source, target).paths)
+        )
 
         maintained = MaintainableIndex(graph, params)
         u, v, cost = next(iter(graph.edges()))

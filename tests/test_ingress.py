@@ -89,8 +89,8 @@ def test_zero_budget_still_truncates(engine):
 
 
 # ----------------------------------------------------------------------
-# CSR ingress: mp attach / raw packs (from_buffers) and the RBIX CSR
-# section (from_payload) share one value check
+# CSR ingress: mp attach (from_buffers) and the raw-pack payloads a
+# shared segment holds (from_raw_buffer) share one value check
 # ----------------------------------------------------------------------
 
 
@@ -149,18 +149,15 @@ def test_csr_from_buffers_rejects_bad_values(case, directed):
 @pytest.mark.parametrize("directed", [False, True])
 @pytest.mark.parametrize("case", CSR_CASES)
 def test_csr_from_payload_rejects_bad_values(case, directed):
+    from repro.accel.blob import pack_bytes
     from repro.accel.csr import CSRSnapshot
     from repro.errors import BuildError
 
     meta, arrays = _bad_csr(case, directed)
-    if not directed:
-        for name in ("indptr", "indices", "costs"):
-            arrays["rev_" + name] = arrays[name]
-    # The plain constructor trusts its arrays, so it can encode a
-    # payload no valid snapshot would produce.
-    payload = CSRSnapshot(**meta, **arrays).to_payload()
+    # The bytes a worker attaches to: a raw pack of the corrupted arrays.
+    payload = pack_bytes(arrays, meta)
     with pytest.raises(BuildError):
-        CSRSnapshot.from_payload(payload)
+        CSRSnapshot.from_raw_buffer(payload)
 
 
 def test_csr_reverse_arrays_are_checked_too():

@@ -69,7 +69,7 @@ def test_save_build_query_roundtrip(tmp_path):
     index = build_backbone_index(
         graph, BackboneParams(m_max=25, m_min=5, p=0.05)
     )
-    file_path = tmp_path / "net.index.json"
+    file_path = tmp_path / "net.rbi"
     index.save(file_path)
     loaded = BackboneIndex.load(file_path, graph)
     queries = random_queries(graph, 3, seed=3, min_hops=4)

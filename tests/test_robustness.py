@@ -153,7 +153,7 @@ class TestCorruptedIndexFiles:
         g.add_edge(0, 1, (1.0, 1.0))
         path = tmp_path / "broken.json"
         path.write_text('{"format": "repro-backbone-index", "vers')
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(BuildError, match="not a backbone index store"):
             BackboneIndex.load(path, g)
 
     def test_wrong_format_marker(self, tmp_path):

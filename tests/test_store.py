@@ -15,7 +15,6 @@ from repro.store import (
     IndexStore,
     LazyLevelList,
     inspect_store,
-    is_store_file,
     load_index,
     save_index,
     serialize_index,
@@ -105,17 +104,34 @@ class TestRoundTrip:
             assert costs_of(loaded.query(s, t)) == costs_of(index.query(s, t))
 
     def test_no_dijkstra_on_load(self, store_path, network, index, monkeypatch):
-        import repro.qa.bounds as landmark_module
+        import sys
+
+        import repro.accel.bounds
+        import repro.search.dijkstra
 
         def forbid(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("load must not run Dijkstra")
 
-        monkeypatch.setattr(landmark_module, "shortest_costs", forbid)
-        loaded = load_index(store_path, network)
-        assert loaded.height == index.height
-        assert loaded.top_graph.num_edge_entries == (
-            index.top_graph.num_edge_entries
+        # Patch every Dijkstra entry point at each name a loaded module
+        # binds it under, so a call from anywhere on the load path fires.
+        entry_points = (
+            repro.search.dijkstra.shortest_costs,
+            repro.search.dijkstra.shortest_path,
+            repro.search.dijkstra.per_dimension_shortest_paths,
+            repro.accel.bounds.csr_shortest_costs,
         )
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] != "repro":
+                continue
+            for name, value in list(vars(module).items()):
+                if any(value is entry for entry in entry_points):
+                    monkeypatch.setattr(module, name, forbid)
+        for lazy in (False, True):
+            loaded = load_index(store_path, network, lazy=lazy)
+            assert loaded.height == index.height
+            assert loaded.top_graph.num_edge_entries == (
+                index.top_graph.num_edge_entries
+            )
 
     def test_params_roundtrip_exactly(self, store_path, network, index):
         loaded = load_index(store_path, network)
@@ -181,47 +197,28 @@ class TestSizeBytes:
     def test_size_bytes_is_measured_store_size(self, index):
         assert index.size_bytes() == len(serialize_index(index))
 
-    def test_estimate_still_available_and_larger(self, index):
-        # Boxed-object estimates dwarf the packed binary encoding.
-        assert index.estimated_size_bytes() > index.size_bytes()
-
-    def test_stats_reports_both(self, index):
+    def test_stats_reports_the_measured_size(self, index):
         stats = index.stats()
         assert stats["size_bytes"] == index.size_bytes()
-        assert stats["estimated_size_bytes"] == index.estimated_size_bytes()
+        assert "estimated_size_bytes" not in stats
 
 
-class TestSniffing:
-    def test_is_store_file(self, store_path, tmp_path):
-        assert is_store_file(store_path)
-        other = tmp_path / "plain.json"
-        other.write_text("{}")
-        assert not is_store_file(other)
-        assert not is_store_file(tmp_path / "missing.rbi")
-
-    def test_backbone_load_sniffs_binary(self, store_path, network, index):
+class TestBackboneSaveLoad:
+    def test_backbone_load_reads_the_store(self, store_path, network, index):
         loaded = BackboneIndex.load(store_path, network)
         assert loaded.label_path_count() == index.label_path_count()
 
-    def test_json_save_still_loads(self, tmp_path, network, index):
-        path = tmp_path / "legacy.json"
-        index.save(path, format="json")
-        assert not is_store_file(path)
-        loaded = BackboneIndex.load(path, network)
-        nodes = sorted(network.nodes())
-        assert costs_of(loaded.query(nodes[2], nodes[-3])) == costs_of(
-            index.query(nodes[2], nodes[-3])
-        )
+    def test_non_store_file_rejected(self, tmp_path, network):
+        path = tmp_path / "index.json"
+        path.write_text('{"format": "repro-backbone-index", "version": 2}')
+        with pytest.raises(BuildError, match="not a backbone index store"):
+            BackboneIndex.load(path, network)
 
-    def test_unknown_save_format_rejected(self, tmp_path, index):
-        with pytest.raises(BuildError):
-            index.save(tmp_path / "x", format="msgpack")
-
-    def test_atomic_json_leaves_no_tmp_files(self, tmp_path, index):
-        path = tmp_path / "atomic.json"
-        index.save(path, format="json")
-        index.save(path, format="json")  # overwrite is atomic too
-        leftovers = [p for p in tmp_path.iterdir() if p.name != "atomic.json"]
+    def test_atomic_save_leaves_no_tmp_files(self, tmp_path, index):
+        path = tmp_path / "atomic.rbi"
+        index.save(path)
+        index.save(path)  # overwrite is atomic too
+        leftovers = [p for p in tmp_path.iterdir() if p.name != "atomic.rbi"]
         assert leftovers == []
 
 
@@ -308,14 +305,13 @@ class TestCorruption:
 
 
 class TestInspect:
-    def test_inspect_reports_sections(self, store_path):
+    def test_inspect_reports_sections(self, store_path, index):
         info = inspect_store(store_path)
         assert info["format"] == "repro-backbone-store"
         assert info["version"] == FORMAT_VERSION == 2
-        tags = {section["tag"] for section in info["sections"]}
-        assert {"params", "topgraph", "provenance", "csr", "csrraw"} <= tags
-        assert "landmarks" not in tags
-        assert any(tag.startswith("level:") for tag in tags)
+        tags = [section["tag"] for section in info["sections"]]
+        levels = [f"level:{i:04d}" for i in range(index.height)]
+        assert tags == ["params", "topgraph", "provenance", *levels]
         assert info["file_bytes"] == store_path.stat().st_size
         for section in info["sections"]:
             assert section["raw_bytes"] >= section["stored_bytes"] or (
@@ -330,12 +326,14 @@ class TestInspect:
 
 
 class TestCompressionEffectiveness:
-    def test_binary_much_smaller_than_json(self, tmp_path, index):
-        json_path = tmp_path / "i.json"
-        binary_path = tmp_path / "i.rbi"
-        index.save(json_path, format="json")
-        index.save(binary_path)
-        assert binary_path.stat().st_size * 3 <= json_path.stat().st_size
+    def test_compression_shrinks_the_store(self, tmp_path, index):
+        raw_path = tmp_path / "raw.rbi"
+        packed_path = tmp_path / "packed.rbi"
+        index.save(raw_path, compress=False)
+        index.save(packed_path)
+        assert packed_path.stat().st_size < raw_path.stat().st_size
+        sections = inspect_store(packed_path)["sections"]
+        assert any(section["compressed"] for section in sections)
 
 
 def _assemble_store(version: int, dim: int, height: int, sections) -> bytes:
@@ -358,9 +356,48 @@ def _assemble_store(version: int, dim: int, height: int, sections) -> bytes:
     return header + bytes(table) + b"".join(raw for _tag, raw in sections)
 
 
+def _csr_section_payloads(index) -> tuple[bytes, bytes]:
+    """G_L's CSR snapshot as the ``csr`` and ``csrraw`` section payloads
+    earlier writers emitted: varint/delta-encoded arrays, and the raw
+    array pack (:mod:`repro.accel.blob`)."""
+    from repro.accel.blob import pack_bytes
+
+    snapshot = index.csr_top()
+    writer = ByteWriter()
+    writer.uvarint(snapshot.dim)
+    writer.uvarint(1 if snapshot.directed else 0)
+    writer.uvarint(snapshot.num_nodes)
+    writer.deltas(snapshot.node_ids.tolist())
+    writer.uvarint(snapshot.num_edge_slots)
+    writer.deltas(snapshot.indptr.tolist())
+    writer.deltas(snapshot.indices.tolist())
+    writer.floats(snapshot.costs.reshape(-1).tolist())
+    if snapshot.directed:
+        writer.uvarint(len(snapshot.rev_indices))
+        writer.deltas(snapshot.rev_indptr.tolist())
+        writer.deltas(snapshot.rev_indices.tolist())
+        writer.floats(snapshot.rev_costs.reshape(-1).tolist())
+    meta, buffers = snapshot.export_buffers()
+    return writer.payload(), pack_bytes(buffers, meta)
+
+
+def _csr_carrying_sections(index):
+    """Today's sections plus the ``csr`` and ``csrraw`` sections that
+    version 2 writers emitted after ``provenance`` until G_L's CSR
+    stopped being persisted."""
+    csr, csrraw = _csr_section_payloads(index)
+    sections = []
+    for tag, raw in _iter_sections(index):
+        sections.append((tag, raw))
+        if tag == "provenance":
+            sections += [("csr", csr), ("csrraw", csrraw)]
+    return sections
+
+
 def _version_1_sections(index):
-    """The sections a version-1 writer produced: today's sections plus
-    a ``landmarks`` section and a ``landmark_count`` params key."""
+    """The sections a version-1 writer produced: the CSR-carrying
+    sections plus a ``landmarks`` section and a ``landmark_count``
+    params key."""
     import json
 
     landmarks = ByteWriter()
@@ -373,7 +410,7 @@ def _version_1_sections(index):
         landmarks.deltas(top)
         landmarks.floats([1.0] * len(top))
     sections = []
-    for tag, raw in _iter_sections(index):
+    for tag, raw in _csr_carrying_sections(index):
         if tag == "params":
             document = json.loads(raw)
             document["params"]["landmark_count"] = 8
@@ -408,28 +445,30 @@ class TestFormatVersions:
         with pytest.raises(BuildError, match="unsupported store version 3"):
             load_index(path, network)
 
-    def test_json_document_has_no_landmarks(self, index, tmp_path):
-        import json
-
-        path = tmp_path / "doc.json"
-        index.save(path, format="json")
-        document = json.loads(path.read_text())
-        assert document["version"] == 2
-        assert "landmarks" not in document
-        assert "landmark_count" not in document["params"]
-
-    def test_older_json_with_landmarks_still_loads(self, index, network, tmp_path):
-        import json
-
-        path = tmp_path / "old.json"
-        index.save(path, format="json")
-        document = json.loads(path.read_text())
-        document["params"]["landmark_count"] = 8
-        document["landmarks"] = {"nodes": [], "tables": []}
-        path.write_text(json.dumps(document))
-        loaded = BackboneIndex.load(path, network)
-        assert loaded.params == index.params
-        nodes = sorted(network.nodes())
-        assert costs_of(loaded.query(nodes[2], nodes[-3])) == costs_of(
-            index.query(nodes[2], nodes[-3])
+    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_csr_carrying_file_loads_and_answers_identically(
+        self, index, network, tmp_path, version, lazy
+    ):
+        sections = (
+            _version_1_sections(index)
+            if version == 1
+            else _csr_carrying_sections(index)
         )
+        path = tmp_path / f"v{version}-csr.rbi"
+        path.write_bytes(
+            _assemble_store(version, index.dim, index.height, sections)
+        )
+        store = IndexStore(path)
+        assert {"csr", "csrraw"} <= set(store.sections)
+        for tag in store.sections:
+            store.section_bytes(tag)  # every CRC is valid
+        loaded = load_index(path, network, lazy=lazy)
+        if lazy:
+            assert loaded.levels.materialized_count() == 0
+        assert loaded.params == index.params
+        assert loaded.csr_top().same_topology(index.csr_top())
+        nodes = sorted(network.nodes())
+        for s, t in [(nodes[1], nodes[-2]), (nodes[4], nodes[-7]),
+                     (nodes[2], nodes[-3])]:
+            assert loaded.query(s, t) == index.query(s, t)

@@ -1,5 +1,5 @@
-"""Property tests: a freshly built index, its JSON round-trip, and its
-binary round-trip must answer identical skyline queries — including for
+"""Property tests: a freshly built index and its store round-trips
+(eager and lazy) must answer identical skyline queries — including for
 directed networks and after maintenance updates."""
 
 from __future__ import annotations
@@ -37,11 +37,8 @@ def build_random_network(
 
 def round_trips(index: BackboneIndex, graph: MultiCostGraph, tmp_path):
     """Yield (label, reloaded index) for every persistence route."""
-    json_path = tmp_path / "rt.json"
     binary_path = tmp_path / "rt.rbi"
-    index.save(json_path, format="json")
     index.save(binary_path)
-    yield "json", BackboneIndex.load(json_path, graph)
     yield "binary", BackboneIndex.load(binary_path, graph)
     yield "binary-lazy", BackboneIndex.load(binary_path, graph, lazy=True)
 

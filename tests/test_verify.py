@@ -48,7 +48,7 @@ def test_loaded_index_verifies_clean(network, tmp_path):
     index = build_backbone_index(
         network, BackboneParams(m_max=30, m_min=5, p=0.1)
     )
-    path = tmp_path / "index.json"
+    path = tmp_path / "index.rbi"
     index.save(path)
     loaded = BackboneIndex.load(path, network)
     assert verify_index(loaded).ok
