@@ -160,8 +160,7 @@ def test_mp_exact_batch_throughput(mp_network, workload_seed):
 
             def single(batch):
                 return execute_batch(
-                    engine, batch, max_workers=1, mode="exact",
-                    use_cache=False,
+                    engine, batch, mode="exact", use_cache=False
                 ).responses
 
             def mp(batch):

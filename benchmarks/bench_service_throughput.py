@@ -7,7 +7,7 @@ exercises the three amortization layers:
 
 * cold serial engine queries (cache off) — the library-call baseline,
 * warm engine queries (cache on) — repeats served from the LRU cache,
-* the batch executor — dedup + shared grow-S + thread fan-out.
+* the batch executor — dedup + shared grow-S.
 
 Results go to ``benchmarks/results/service_throughput.txt``.
 """
@@ -72,9 +72,9 @@ def test_service_throughput(served_network):
     serial_warm = time.perf_counter() - started
     warm_hit_rate = engine.cache.stats.hit_rate
 
-    # Case 3: the batch executor — dedup, grouping, thread fan-out.
+    # Case 3: the batch executor — dedup and source grouping.
     engine = _fresh_engine(graph, index, params)
-    outcome = execute_batch(engine, workload, max_workers=4)
+    outcome = execute_batch(engine, workload)
     batch_seconds = outcome.elapsed_seconds
 
     n = len(workload)
@@ -112,7 +112,7 @@ def test_batch_matches_serial(served_network):
         engine.query(s, t, use_cache=False).paths for s, t in workload
     ]
     engine = _fresh_engine(graph, index, params)
-    outcome = execute_batch(engine, workload, max_workers=4)
+    outcome = execute_batch(engine, workload)
     for expected, response in zip(serial, outcome.responses):
         assert sorted(p.cost for p in expected) == sorted(
             p.cost for p in response.paths

@@ -1,4 +1,4 @@
-"""Flat and batch array kernels for skyline search.
+"""Flat array kernels for skyline search.
 
 The package freezes a :class:`~repro.graph.mcrn.MultiCostGraph` into an
 immutable CSR snapshot (:mod:`repro.accel.csr`), computes BBS's exact
@@ -8,15 +8,11 @@ and runs the BBS/m_BBS/one-to-all hot loops over those arrays:
 * :mod:`repro.accel.bbs_kernel` and :mod:`repro.accel.onetoall_kernel`
   — the production kernel of every search, scalar flat loops
   bit-identical to the reference oracle of :mod:`repro.qa.reference`
-  (only the constant factors change);
-* :mod:`repro.accel.batch_kernel` — the fused batch kernel, one
-  bucket-vectorized traversal shared by a whole batch of exact
-  queries, answer-set-equal to per-query serving.
+  (only the constant factors change).
 
 See ``docs/acceleration.md``.
 """
 
-from repro.accel.batch_kernel import fused_skyline_batch
 from repro.accel.bbs_kernel import flat_many_to_many, flat_skyline_paths
 from repro.accel.blob import pack_bytes, pack_nbytes, read_pack, write_pack
 from repro.accel.bounds import exact_bound_matrix
@@ -30,7 +26,6 @@ __all__ = [
     "flat_many_to_many",
     "flat_one_to_all",
     "flat_skyline_paths",
-    "fused_skyline_batch",
     "pack_bytes",
     "pack_nbytes",
     "read_pack",

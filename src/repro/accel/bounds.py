@@ -1,6 +1,6 @@
 """The exact bound matrix: BBS's pruning bounds and its result seeds.
 
-Every production BBS (the flat kernel and the fused batch kernel)
+The production BBS (the flat kernel of :mod:`repro.accel.bbs_kernel`)
 takes both of [45]'s aids from one place, a dense ``(n, dim)`` float64
 matrix of exact per-dimension distances to the target:
 

@@ -367,8 +367,7 @@ def _serve_batch_mp(args: argparse.Namespace, graph, index, pairs,
         if args.verify:
             from repro.qa.invariants import identical_answer_errors
 
-            # Per-query serving, as the workers do it: a fused batch
-            # would be answer-set-equal but not bit-identical.
+            # Per-query serving, as the workers do it.
             baseline = [
                 server.engine.query(
                     source, target, mode=args.mode,
@@ -429,7 +428,11 @@ def _serve_batch_mp(args: argparse.Namespace, graph, index, pairs,
 
 def cmd_serve_batch(args: argparse.Namespace) -> int:
     from repro.core.index import BackboneIndex as _Index
+    from repro.errors import QueryError
     from repro.service import SkylineQueryEngine, execute_batch
+
+    if args.workers < 1:
+        raise QueryError("--workers must be at least 1")
 
     tracer = None
     if args.trace:
@@ -489,7 +492,6 @@ def cmd_serve_batch(args: argparse.Namespace) -> int:
     outcome = execute_batch(
         engine,
         pairs,
-        max_workers=args.workers,
         mode=args.mode,
         time_budget=args.budget,
         tracer=tracer,
@@ -1244,13 +1246,14 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queries", default="-",
                        help="query file, or '-' for stdin (default)")
     serve.add_argument("--workers", type=int, default=4,
-                       help="batch executor thread count, or worker "
-                            "process count with --engine mp (default 4)")
+                       help="worker process count with --engine mp "
+                            "(default 4); in-process serving runs in one "
+                            "thread")
     serve.add_argument("--engine", choices=["thread", "mp"],
                        default="thread", dest="serve_engine",
-                       help="batch executor: in-process threads (default) "
-                            "or a forked worker-process cohort sharing "
-                            "one zero-copy CSR snapshot")
+                       help="batch executor: in-process in the calling "
+                            "thread (default) or a forked worker-process "
+                            "cohort sharing one zero-copy CSR snapshot")
     serve.add_argument("--fail-fast", action="store_true", dest="fail_fast",
                        help="with --engine mp: abort the batch on the "
                             "first worker error (exit code 3)")

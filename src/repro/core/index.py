@@ -95,7 +95,9 @@ class BackboneIndex:
         self._expansion_memo: dict[
             tuple[int, int], dict[CostVector, tuple[int, ...]]
         ] = {}
-        self._size_bytes_cache: int | None = None
+        # Byte count of the store this index was loaded from or last
+        # saved to; a never-persisted index measures itself on first ask.
+        self.store_bytes: int | None = None
         self._csr_top = None
 
     # ------------------------------------------------------------------
@@ -138,15 +140,17 @@ class BackboneIndex:
 
         This is the number the paper's index-size comparisons want —
         what the index costs to persist and ship, not what CPython's
-        boxed objects happen to occupy.  The serialization is cached;
-        a :class:`BackboneIndex` is immutable after construction
-        (maintenance builds a new one).
+        boxed objects happen to occupy.  A loaded or saved index
+        reports its file's byte count without touching its levels;
+        only a never-persisted index serializes itself, once (a
+        :class:`BackboneIndex` is immutable after construction, and
+        maintenance builds a new one).
         """
-        if self._size_bytes_cache is None:
+        if self.store_bytes is None:
             from repro.store.writer import serialize_index
 
-            self._size_bytes_cache = len(serialize_index(self))
-        return self._size_bytes_cache
+            self.store_bytes = len(serialize_index(self))
+        return self.store_bytes
 
     def stats(self) -> dict:
         """A summary dictionary (levels, sizes, counts) for reporting."""

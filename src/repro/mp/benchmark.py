@@ -66,7 +66,7 @@ def measure_single_process(
     for _ in range(rounds):
         started = time.perf_counter()
         outcome = execute_batch(
-            engine, pairs, max_workers=1, mode=mode,
+            engine, pairs, mode=mode,
             time_budget=time_budget, use_cache=False,
         )
         seconds.append(time.perf_counter() - started)

@@ -1,10 +1,10 @@
 """Lightweight tracing: nested spans with attributes and counters.
 
 A :class:`Tracer` hands out :class:`Span` context managers.  Spans nest
-through a *thread-local* stack, so worker threads (e.g. the batch
-executor's pool) each build their own independent span trees; finished
-root spans from every thread collect into one shared, lock-guarded
-list that the exporters (:mod:`repro.obs.export`) read.
+through a *thread-local* stack, so threads that share a tracer each
+build their own independent span trees; finished root spans from
+every thread collect into one shared, lock-guarded list that the
+exporters (:mod:`repro.obs.export`) read.
 
 The process-wide default tracer is **disabled**: ``span()`` on a
 disabled tracer returns a shared no-op span after a single attribute

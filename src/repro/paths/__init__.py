@@ -10,7 +10,6 @@ from repro.paths.dominance import (
     zero_cost,
 )
 from repro.paths.frontier import ParetoSet, PathSet
-from repro.paths.vector_frontier import VectorParetoSet
 from repro.paths.path import Path
 
 __all__ = [
@@ -18,7 +17,6 @@ __all__ = [
     "ParetoSet",
     "Path",
     "PathSet",
-    "VectorParetoSet",
     "add_costs",
     "dominates",
     "dominates_or_equal",

@@ -54,7 +54,6 @@ from repro.obs.tracer import Tracer, resolve_tracer
 from repro.paths.path import Path
 from repro.qa import metamorphic, reference
 from repro.qa.invariants import (
-    answer_set_errors,
     approximation_errors,
     identical_answer_errors,
     index_identity_errors,
@@ -74,12 +73,9 @@ from repro.search.onetoall import one_to_all_skyline
 from repro.service.engine import SkylineQueryEngine
 
 # What each production path owes the reference oracle: "identical" is
-# the same paths in the same order with the same search counters;
-# "answer_set" is the same (cost, node-sequence) answer set
-# (repro.qa.invariants.answer_set_errors) — the fused kernel reorders
-# expansions by design, so its counters and equal-cost witnesses may
-# differ.  Production m_BBS takes no bound, so its row compares against
-# the reference run with bounds=None.  The "maintained" row is checked
+# the same paths in the same order with the same search counters.
+# Production m_BBS takes no bound, so its row compares against the
+# reference run with bounds=None.  The "maintained" row is checked
 # per case, not per query: after each of the case's cost bumps, the
 # maintained index must be the fresh production build of the updated
 # network (repro.qa.invariants.index_identity_errors).
@@ -88,7 +84,6 @@ CONTRACTS = {
     "mbbs": "identical",  # repro.search.mbbs.many_to_many_skyline
     "onetoall": "identical",  # repro.search.onetoall.one_to_all_skyline
     "build": "identical",  # repro.core.builder.build_backbone_index
-    "fused": "answer_set",  # repro.accel.batch_kernel.fused_skyline_batch
     "maintained": "identical",  # repro.core.maintenance.update_edge_cost
 }
 # Rows checked once per case; every other row is checked per query.
@@ -238,12 +233,10 @@ class _ContractChecks:
     """One case's :data:`CONTRACTS` rows.
 
     Holds what the rows share across queries: one CSR snapshot for the
-    production kernels, one reference build, and one fused traversal
-    over every case query.
+    production kernels and one reference build.
     """
 
     def __init__(self, graph, params, queries, production_index) -> None:
-        from repro.accel.batch_kernel import fused_skyline_batch
         from repro.accel.csr import CSRSnapshot
 
         self.graph = graph
@@ -251,7 +244,6 @@ class _ContractChecks:
         self.production_index = production_index
         self.snapshot = CSRSnapshot.from_graph(graph)
         self.reference_index = reference.build_backbone_index(graph, params)
-        self.fused = fused_skyline_batch(graph, self.snapshot, queries)
 
     def build_stat_errors(self) -> list[str]:
         """Per-level construction statistics must match exactly."""
@@ -344,12 +336,6 @@ class _ContractChecks:
             backbone_answer,
         ):
             yield "build", detail
-
-        for detail in answer_set_errors(
-            "reference", oracle.paths, "fused",
-            self.fused[position].paths, graph,
-        ):
-            yield "fused", detail
 
 
 def run_case(

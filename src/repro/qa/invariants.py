@@ -20,11 +20,12 @@ test suite in agreement about what *correct* means:
   bit-for-bit (cached vs. uncached, store round-trip vs. fresh) really
   return the same multiset of (cost, node-sequence) pairs;
 * :func:`answer_set_errors` — two variants that must agree as *answer
-  sets* (the fused batch kernel's contract): same skyline costs with the
-  same multiplicities, and identical node sequences wherever a cost is
-  unique — only which equal-cost alternate survives may differ (with
-  the graph at hand, divergent representatives are accepted exactly
-  when both walks price to the claimed cost);
+  sets* (searches that prune differently, such as the reference bound
+  providers): same skyline costs with the same multiplicities, and
+  identical node sequences wherever a cost is unique — only which
+  equal-cost alternate survives may differ (with the graph at hand,
+  divergent representatives are accepted exactly when both walks price
+  to the claimed cost);
 * :func:`index_identity_errors` — two backbone indexes are the same
   index: labels, top graph, provenance, level statistics and the top
   graph's CSR arrays (the maintained-index contract).
@@ -243,12 +244,12 @@ def answer_set_errors(
 ) -> list[str]:
     """Two variants required to return the same *answer set*.
 
-    This is the contract of the fused batch kernel
-    (:mod:`repro.accel.batch_kernel`) against the reference searches:
-    the answers must match as a set of (cost vector, node sequence)
-    pairs, but the kernels expand labels in different orders by design,
-    so among *exactly* equal-cost alternatives the surviving
-    representative may differ.  Concretely:
+    This is the contract between searches that expand labels in
+    different orders, such as the reference BBS under its zero or
+    landmark bound providers (:mod:`repro.qa.bounds`) against exact
+    bounds: the answers must match as a set of (cost vector, node
+    sequence) pairs, but among *exactly* equal-cost alternatives the
+    surviving representative may differ.  Concretely:
 
     * the skyline cost sets must be equal, with equal multiplicities
       per cost vector (``keep_equal_costs`` semantics are preserved);

@@ -125,18 +125,6 @@ PLANNER_MIN_SAMPLES = 3
 # caller opts out of result caching.
 CORRIDOR_CACHE_SIZE = 128
 
-# From this node count on, a batch of two or more exact queries runs as
-# one fused bucket traversal (:meth:`SkylineQueryEngine.query_batch_fused`)
-# instead of one flat-kernel search per query.  BENCH_batch.json
-# "fuse_crossover" (benchmarks/bench_fig10_query_time.py -k
-# fuse_crossover: 64 exact pairs in 8-pair execute_batch calls, exact
-# bounds as served, 4 rounds, on a 2-core Xeon VM) has fused vs
-# per-query flat at 0.24 vs 0.20 s on 150 nodes, 0.21 vs 0.20 s on
-# 250, 0.28 vs 0.32 s on 400 and 0.62 vs 0.72 s on 1,200 (fused ahead
-# in 4 of 4 rounds from 400 nodes on).  Fused answers are
-# answer-set-equal to per-query serving, not counter-identical.
-FUSE_NODE_CROSSOVER = 400
-
 
 @dataclass
 class QueryResponse:
@@ -207,8 +195,8 @@ class SkylineQueryEngine:
         reference exists) escalates to exact within the remaining time
         budget.  None disables escalation (answers are still scored).
 
-    Every exact, corridor and fused-batch search is bounded by exact
-    reverse Dijkstra over the current generation's CSR snapshot
+    Every exact and corridor search is bounded by exact reverse
+    Dijkstra over the current generation's CSR snapshot
     (:func:`repro.accel.bounds.exact_bound_matrix`; inside the corridor
     for the corridor tier).
     """
@@ -346,19 +334,6 @@ class SkylineQueryEngine:
                     self.metrics.increment("engine.csr_builds")
                 snapshot = self._csr_original
         return snapshot
-
-    def batch_tier(self, exact_queries: int) -> bool:
-        """Whether a batch with this many exact queries should fuse.
-
-        True for two or more queries on a graph of at least
-        ``FUSE_NODE_CROSSOVER`` nodes, where one shared bucket traversal
-        measurably beats per-query flat searches; a lone query gains
-        nothing from fusing.
-        """
-        return (
-            exact_queries > 1
-            and self._graph.num_nodes >= FUSE_NODE_CROSSOVER
-        )
 
     def warm(self) -> dict:
         """Prime everything a cold start would otherwise pay per query.
@@ -587,109 +562,6 @@ class SkylineQueryEngine:
             aggregate_spans([serve_span], self.metrics)
 
         return [answers[target] for target in targets]
-
-    def query_batch_fused(
-        self,
-        pairs: list[tuple[int, int]],
-        *,
-        time_budget: float | None = None,
-        use_cache: bool = True,
-    ) -> list[QueryResponse]:
-        """Serve many exact queries through one fused bucket traversal.
-
-        The fused counterpart of calling :meth:`query` with
-        ``mode="exact"`` per pair: cache hits are served individually,
-        and the remaining misses run as a single
-        :func:`~repro.accel.batch_kernel.fused_skyline_batch` call that
-        shares bucket pops, bound projection, and the candidate sweep
-        across every query in the batch.
-
-        Answers are answer-set-equal to per-query serving (equal-cost
-        alternates and counters may differ — the fused kernel's
-        documented contract).  ``elapsed_seconds`` on each miss is the
-        fused wall clock split evenly across the misses, since the
-        shared traversal has no per-query attribution; for the same
-        reason ``time_budget`` caps the whole traversal, not each
-        query (expiry truncates every still-running query at once).
-        When :meth:`batch_tier` says the misses should not fuse (small
-        graph, single miss), each runs on the serial exact path, so
-        callers may route unconditionally.
-
-        Identical pairs in one call are computed once and fanned back
-        out; positions always align with ``pairs``.
-        """
-        for source, target in pairs:
-            if not self._graph.has_node(source):
-                raise NodeNotFoundError(source)
-            if not self._graph.has_node(target):
-                raise NodeNotFoundError(target)
-        budget = (
-            check_time_budget(time_budget)
-            if time_budget is not None
-            else self.default_time_budget
-        )
-        responses: dict[int, QueryResponse] = {}
-        miss_positions: dict[tuple[int, int], list[int]] = {}
-        tracer = resolve_tracer(self.tracer)
-        for position, (source, target) in enumerate(pairs):
-            if (source, target) in miss_positions:
-                miss_positions[(source, target)].append(position)
-                continue
-            cached = self._cache_lookup(source, target, "exact", use_cache)
-            if cached is not None:
-                responses[position] = cached
-            else:
-                miss_positions.setdefault((source, target), []).append(
-                    position
-                )
-        if miss_positions:
-            if not self.batch_tier(len(miss_positions)):
-                for (source, target), spots in miss_positions.items():
-                    response = self._serve_exact(
-                        source, target, budget, use_cache, tracer
-                    )
-                    for spot in spots:
-                        responses[spot] = response
-            else:
-                from repro.accel.batch_kernel import fused_skyline_batch
-
-                run_pairs = list(miss_positions)
-                snapshot = self._original_snapshot()
-                generation = self._generation
-                started = time.perf_counter()
-                with tracer.span(
-                    "serve.fused_batch", queries=len(run_pairs)
-                ):
-                    outcomes = fused_skyline_batch(
-                        self._graph,
-                        snapshot,
-                        run_pairs,
-                        time_budget=budget,
-                    )
-                per_query = (
-                    (time.perf_counter() - started) / len(run_pairs)
-                )
-                self.metrics.increment("engine.fused_batches")
-                self.metrics.increment(
-                    "engine.fused_batch_queries", len(run_pairs)
-                )
-                for (source, target), outcome in zip(run_pairs, outcomes):
-                    response = self._record(
-                        QueryResponse(
-                            source=source,
-                            target=target,
-                            mode="exact",
-                            paths=outcome.paths,
-                            truncated=outcome.stats.timed_out,
-                            elapsed_seconds=per_query,
-                            generation=generation,
-                            stats=outcome.stats,
-                        ),
-                        use_cache,
-                    )
-                    for spot in miss_positions[(source, target)]:
-                        responses[spot] = response
-        return [responses[position] for position in range(len(pairs))]
 
     def _serve_exact(
         self,

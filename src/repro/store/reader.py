@@ -153,8 +153,12 @@ class IndexStore:
                 f"{self.path}: params section is not valid JSON: {error}"
             ) from error
 
-    def load_params(self):
-        """The :class:`~repro.core.params.BackboneParams` stored here."""
+    def load_params(self, document: dict | None = None):
+        """The :class:`~repro.core.params.BackboneParams` stored here.
+
+        ``document`` is the params section when the caller has already
+        decoded it.
+        """
         from repro.core.params import (
             AggressiveMode,
             BackboneParams,
@@ -163,7 +167,9 @@ class IndexStore:
             TreePolicy,
         )
 
-        raw = self.params_document()["params"]
+        if document is None:
+            document = self.params_document()
+        raw = document["params"]
         return BackboneParams(
             m_max=raw["m_max"],
             m_min=raw["m_min"],
@@ -245,7 +251,8 @@ class IndexStore:
         with tracer.span(
             "store.load", path=str(self.path), lazy=lazy
         ) as span:
-            params = self.load_params()
+            document = self.params_document()
+            params = self.load_params(document)
             top_graph = self.load_top_graph()
             provenance = self.load_provenance()
             if lazy:
@@ -258,8 +265,11 @@ class IndexStore:
                 levels=levels,  # type: ignore[arg-type]
                 top_graph=top_graph,
                 provenance=provenance,
-                build_stats=BuildStats(),
+                build_stats=BuildStats(
+                    elapsed_seconds=document["build_seconds"]
+                ),
             )
+            index.store_bytes = self._size
             if span.enabled:
                 span.set(
                     bytes=self._size,

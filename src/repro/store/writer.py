@@ -211,12 +211,15 @@ def save_index(
     """Write an index to a binary store file (atomically).
 
     Returns a small info dict: output path, byte count, and section
-    count — what callers typically log.
+    count — what callers typically log.  The index then reports the
+    written byte count as its :meth:`~repro.core.index.BackboneIndex
+    .size_bytes`.
     """
     tracer = resolve_tracer(tracer)
     with tracer.span("store.save", path=str(path), compress=compress) as span:
         data = serialize_index(index, compress=compress)
         atomic_write_bytes(path, data)
+        index.store_bytes = len(data)
         if span.enabled:
             span.set(bytes=len(data), levels=index.height)
     return {

@@ -157,6 +157,15 @@ class TestBuildAndQuery:
         assert "error:" in capsys.readouterr().err
 
 
+class TestServeBatch:
+    def test_zero_workers_rejected(self, network_files, capsys):
+        code = main(
+            ["serve-batch", f"{network_files}.gr", "--workers", "0"]
+        )
+        assert code == 1
+        assert "--workers must be at least 1" in capsys.readouterr().err
+
+
 class TestStats:
     def test_graph_stats(self, network_files, capsys):
         assert main(["stats", f"{network_files}.gr"]) == 0

@@ -68,9 +68,7 @@ def single_process_answers(network, index, workload, *, mode="auto"):
     engine = SkylineQueryEngine(
         network, index=index, params=PARAMS, cache_size=0
     )
-    outcome = execute_batch(
-        engine, workload, max_workers=1, mode=mode, use_cache=False
-    )
+    outcome = execute_batch(engine, workload, mode=mode, use_cache=False)
     return answer_sets(outcome.responses)
 
 

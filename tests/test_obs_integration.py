@@ -235,7 +235,7 @@ class TestTracedRepair:
 
 
 class TestBatchThreadIsolation:
-    def test_worker_spans_stay_per_thread(self, small_road_network):
+    def test_units_run_in_the_callers_thread(self, small_road_network):
         engine = SkylineQueryEngine(
             small_road_network, exact_node_threshold=0
         )
@@ -248,34 +248,15 @@ class TestBatchThreadIsolation:
             (nodes[3], nodes[-4]),
         ]
         tracer = Tracer()
-        result = execute_batch(
-            engine, queries, max_workers=3, tracer=tracer,
-            group_by_source=False,
-        )
+        result = execute_batch(engine, queries, max_workers=3, tracer=tracer)
         assert len(result) == len(queries)
-        roots = tracer.roots()
-        units = [r for r in roots if r.name == "batch.unit"]
-        # every unit ran in a worker thread => it is its own root, and
-        # every span beneath it stayed on that worker's thread
+        # one root: every unit nests under the batch span, on its thread
+        (execute,) = tracer.roots()
+        assert execute.name == "batch.execute"
+        units = [s for s, _ in execute.walk() if s.name == "batch.unit"]
         assert len(units) == len(queries)
-        for unit in units:
-            for span, _depth in unit.walk():
-                assert span.thread_id == unit.thread_id
-        execute_main = [r for r in roots if r.name == "batch.execute"]
-        assert len(execute_main) == 1
-        # pool tasks never run on the submitting thread, so every unit
-        # is a root of its own worker-thread trace, detached from the
-        # fan-out span (which thread handles how many units is up to
-        # the pool scheduler and deliberately not asserted)
         assert all(
-            u.thread_id != execute_main[0].thread_id for u in units
-        )
-        assert not execute_main[0].children
-        # the fan-out span itself ran on the calling thread and has no
-        # cross-thread children mixed in
-        assert all(
-            s.thread_id == execute_main[0].thread_id
-            for s, _ in execute_main[0].walk()
+            span.thread_id == execute.thread_id for span, _ in execute.walk()
         )
 
     def test_engine_aggregates_phase_histograms(self, small_road_network):

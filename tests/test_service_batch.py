@@ -9,8 +9,8 @@ from repro.core.params import BackboneParams
 from repro.errors import NodeNotFoundError, QueryError
 from repro.eval.queries import Query
 from repro.graph.generators import road_network
+from repro.qa.invariants import identical_answer_errors
 from repro.service import SkylineQueryEngine, execute_batch
-from repro.service import engine as engine_module
 
 PARAMS = BackboneParams(m_max=25, m_min=5, p=0.1)
 
@@ -65,12 +65,12 @@ def serial_baseline(network, index, workload, mode="auto"):
 
 class TestOrdering:
     def test_responses_preserve_input_order(self, engine, workload):
-        outcome = execute_batch(engine, workload, max_workers=3)
+        outcome = execute_batch(engine, workload)
         assert [(r.source, r.target) for r in outcome.responses] == workload
 
     def test_query_objects_accepted(self, engine, workload):
         queries = [Query(s, t) for s, t in workload]
-        outcome = execute_batch(engine, queries, max_workers=2)
+        outcome = execute_batch(engine, queries)
         assert [(r.source, r.target) for r in outcome.responses] == workload
 
     def test_garbage_query_rejected(self, engine):
@@ -84,7 +84,7 @@ class TestOrdering:
 
 class TestDedup:
     def test_duplicates_computed_once(self, engine, workload):
-        outcome = execute_batch(engine, workload, max_workers=1)
+        outcome = execute_batch(engine, workload)
         assert outcome.duplicates_folded == 2
         assert outcome.unique_queries == len(set(workload))
         # The engine only ever saw the unique queries.
@@ -94,7 +94,7 @@ class TestDedup:
         )
 
     def test_duplicate_positions_get_equal_skylines(self, engine, workload):
-        outcome = execute_batch(engine, workload, max_workers=2)
+        outcome = execute_batch(engine, workload)
         by_pair: dict[tuple[int, int], list] = {}
         for pair, response in zip(workload, outcome.responses):
             by_pair.setdefault(pair, []).append(costs(response.paths))
@@ -104,7 +104,7 @@ class TestDedup:
 
 class TestGrouping:
     def test_same_source_queries_grouped(self, engine, workload):
-        outcome = execute_batch(engine, workload, max_workers=2)
+        outcome = execute_batch(engine, workload)
         # Sources 0 and 9 both have >1 approximate target.
         assert outcome.source_groups == 2
         assert outcome.grouped_queries == 5
@@ -114,7 +114,7 @@ class TestGrouping:
             network, index=index, params=PARAMS,
             exact_node_threshold=network.num_nodes,  # auto -> exact
         )
-        outcome = execute_batch(engine, workload, max_workers=2)
+        outcome = execute_batch(engine, workload)
         assert outcome.source_groups == 0
         assert all(r.mode == "exact" for r in outcome.responses)
 
@@ -122,130 +122,37 @@ class TestGrouping:
 class TestEquivalence:
     def test_batch_equals_serial(self, network, index, engine, workload):
         expected = serial_baseline(network, index, workload)
-        outcome = execute_batch(engine, workload, max_workers=4)
+        outcome = execute_batch(engine, workload)
         assert [costs(r.paths) for r in outcome.responses] == expected
-
-    def test_batch_equals_serial_without_grouping(
-        self, network, index, engine, workload
-    ):
-        expected = serial_baseline(network, index, workload)
-        outcome = execute_batch(
-            engine, workload, max_workers=4, group_by_source=False
-        )
-        assert [costs(r.paths) for r in outcome.responses] == expected
-
-    def test_single_worker_equals_parallel(self, network, index, workload):
-        one = execute_batch(
-            SkylineQueryEngine(
-                network, index=index, params=PARAMS, exact_node_threshold=0
-            ),
-            workload,
-            max_workers=1,
-        )
-        many = execute_batch(
-            SkylineQueryEngine(
-                network, index=index, params=PARAMS, exact_node_threshold=0
-            ),
-            workload,
-            max_workers=4,
-        )
-        assert [costs(r.paths) for r in one.responses] == [
-            costs(r.paths) for r in many.responses
-        ]
 
     def test_exact_mode_batch_equals_serial(
         self, network, index, engine, workload
     ):
         expected = serial_baseline(network, index, workload[:4], mode="exact")
-        outcome = execute_batch(
-            engine, workload[:4], max_workers=2, mode="exact"
-        )
+        outcome = execute_batch(engine, workload[:4], mode="exact")
         assert [costs(r.paths) for r in outcome.responses] == expected
 
 
-class TestFusedExactServing:
-    """Exact-plan singles fuse into one bucket traversal past the fuse
-    crossover, answer-set-equal to per-query serving.  The 240-node
-    test network sits below the measured crossover, so the fusing
-    fixtures lower it."""
-
-    @pytest.fixture()
-    def batch_engine(self, network, index, monkeypatch):
-        monkeypatch.setattr(engine_module, "FUSE_NODE_CROSSOVER", 0)
-        return SkylineQueryEngine(
-            network, index=index, params=PARAMS,
-            exact_node_threshold=network.num_nodes,  # auto -> exact
+class TestExactServing:
+    def test_exact_batch_is_per_query_serving(self):
+        """An exact batch on a graph of 400+ nodes answers bit-identically
+        to serving each pair alone: same paths, same order."""
+        network = road_network(400, dim=2, seed=11)
+        nodes = sorted(network.nodes())
+        pairs = [(nodes[i], nodes[-(3 * i + 1)]) for i in range(8)]
+        batch = execute_batch(
+            SkylineQueryEngine(network), pairs, mode="exact", use_cache=False
         )
-
-    def test_fuse_decision_follows_node_count(self):
-        """An 8-pair exact batch fuses at 1,200 nodes, not at 150."""
-        small = SkylineQueryEngine(road_network(150, dim=2, seed=3))
-        large = SkylineQueryEngine(road_network(1200, dim=2, seed=3))
-        assert not small.batch_tier(8)
-        assert large.batch_tier(8)
-        assert not large.batch_tier(1)
-
-    def test_exact_singles_fused(self, batch_engine, workload):
-        outcome = execute_batch(batch_engine, workload, max_workers=2)
-        assert outcome.fused_queries == len(set(workload))
-        assert all(r.mode == "exact" for r in outcome.responses)
-        metrics = batch_engine.metrics_snapshot()["counters"]
-        assert metrics["engine.fused_batches"] == 1
-        assert metrics["batch.fused_queries"] == outcome.fused_queries
-
-    def test_fused_equals_serial_answers(
-        self, network, index, batch_engine, workload
-    ):
-        expected = serial_baseline(network, index, workload, mode="exact")
-        outcome = execute_batch(batch_engine, workload, max_workers=2)
-        assert [costs(r.paths) for r in outcome.responses] == expected
-
-    def test_second_batch_served_from_cache(self, batch_engine, workload):
-        execute_batch(batch_engine, workload)
-        repeat = execute_batch(batch_engine, workload)
-        assert all(r.cache_hit for r in repeat.responses)
-        assert (
-            batch_engine.metrics_snapshot()["counters"]["engine.fused_batches"]
-            == 1
-        )
-
-    def test_lone_exact_query_skips_fusion(self, batch_engine, workload):
-        outcome = execute_batch(batch_engine, workload[:1])
-        assert outcome.fused_queries == 0
-        assert outcome.responses[0].mode == "exact"
-
-    def test_flat_tier_never_fuses(self, network, index, workload):
-        """Below the crossover every exact query runs the flat kernel."""
-        engine = SkylineQueryEngine(
-            network, index=index, params=PARAMS,
-            exact_node_threshold=network.num_nodes,
-        )
-        outcome = execute_batch(engine, workload, max_workers=2)
-        assert outcome.fused_queries == 0
-        assert "engine.fused_batches" not in (
-            engine.metrics_snapshot()["counters"]
-        )
-
-    def test_direct_method_python_fallback(
-        self, network, index, workload, monkeypatch
-    ):
-        """query_batch_fused below the crossover serves serially with
-        the fused answers, so callers may route unconditionally."""
-        serial_engine = SkylineQueryEngine(network, index=index, params=PARAMS)
-        pairs = list(dict.fromkeys(workload))[:4]
-        serial = serial_engine.query_batch_fused(pairs, use_cache=False)
-        monkeypatch.setattr(engine_module, "FUSE_NODE_CROSSOVER", 0)
-        batch_engine = SkylineQueryEngine(network, index=index, params=PARAMS)
-        fused = batch_engine.query_batch_fused(pairs, use_cache=False)
-        assert [costs(r.paths) for r in serial] == [
-            costs(r.paths) for r in fused
-        ]
-        assert "engine.fused_batches" not in (
-            serial_engine.metrics_snapshot()["counters"]
-        )
-        assert batch_engine.metrics_snapshot()["counters"][
-            "engine.fused_batches"
-        ] == 1
+        single = SkylineQueryEngine(network)
+        for (source, target), response in zip(pairs, batch.responses):
+            alone = single.query(source, target, mode="exact", use_cache=False)
+            assert response.mode == "exact"
+            assert not identical_answer_errors(
+                "per-query", alone.paths, "batch", response.paths
+            )
+            assert [p.nodes for p in response.paths] == [
+                p.nodes for p in alone.paths
+            ]
 
 
 class TestFailuresAndAccounting:
@@ -253,12 +160,11 @@ class TestFailuresAndAccounting:
         nodes = sorted(network.nodes())
         with pytest.raises(NodeNotFoundError):
             execute_batch(
-                engine, [(nodes[0], nodes[1]), (nodes[0], 999999)],
-                max_workers=2,
+                engine, [(nodes[0], nodes[1]), (nodes[0], 999999)]
             )
 
     def test_batch_metrics_recorded(self, engine, workload):
-        execute_batch(engine, workload, max_workers=2)
+        execute_batch(engine, workload)
         snapshot = engine.metrics_snapshot()
         assert snapshot["counters"]["batch.batches"] == 1
         assert snapshot["counters"]["batch.queries"] == len(workload)
@@ -266,7 +172,7 @@ class TestFailuresAndAccounting:
         assert snapshot["histograms"]["batch.batch_seconds"]["count"] == 1
 
     def test_throughput_property(self, engine, workload):
-        outcome = execute_batch(engine, workload, max_workers=2)
+        outcome = execute_batch(engine, workload)
         assert outcome.queries_per_second > 0
 
     @pytest.mark.slow
@@ -282,7 +188,7 @@ class TestFailuresAndAccounting:
         }
         for round_number in range(10):
             workload = [pool[(round_number + i) % len(pool)] for i in range(24)]
-            outcome = execute_batch(engine, workload, max_workers=6)
+            outcome = execute_batch(engine, workload)
             for pair, response in zip(workload, outcome.responses):
                 assert costs(response.paths) == expected[pair]
         assert engine.cache.stats.hits > 0

@@ -137,6 +137,23 @@ class TestRoundTrip:
         loaded = load_index(store_path, network)
         assert loaded.params == index.params
 
+    def test_build_time_survives_a_load(self, store_path, network, index):
+        loaded = load_index(store_path, network)
+        assert (
+            loaded.build_stats.elapsed_seconds
+            == index.build_stats.elapsed_seconds
+            > 0
+        )
+
+    @pytest.mark.parametrize("compress", [True, False])
+    def test_resaving_a_loaded_store_is_byte_identical(
+        self, store_path, tmp_path, network, compress
+    ):
+        first, second = tmp_path / "first.rbi", tmp_path / "second.rbi"
+        save_index(load_index(store_path, network), first, compress=compress)
+        save_index(load_index(first, network), second, compress=compress)
+        assert first.read_bytes() == second.read_bytes()
+
     def test_uncompressed_store_loads_too(self, tmp_path, network, index):
         path = tmp_path / "raw.rbi"
         save_index(index, path, compress=False)
@@ -196,6 +213,21 @@ class TestLazyLoading:
 class TestSizeBytes:
     def test_size_bytes_is_measured_store_size(self, index):
         assert index.size_bytes() == len(serialize_index(index))
+
+    def test_lazy_load_reports_the_file_size_without_faulting_in(
+        self, store_path, network
+    ):
+        loaded = load_index(store_path, network, lazy=True)
+        assert loaded.size_bytes() == store_path.stat().st_size
+        assert loaded.levels.materialized_count() == 0
+
+    def test_save_reports_the_bytes_written(
+        self, store_path, tmp_path, network
+    ):
+        loaded = load_index(store_path, network)
+        path = tmp_path / "raw.rbi"
+        info = save_index(loaded, path, compress=False)
+        assert loaded.size_bytes() == info["bytes"] == path.stat().st_size
 
     def test_stats_reports_the_measured_size(self, index):
         stats = index.stats()

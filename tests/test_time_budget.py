@@ -14,19 +14,16 @@ expansions followed by thousands of pops that are all stale or pruned.
 A fake clock (time only advances when ``perf_counter`` is read) expires
 the budget during the starved run; the old gating never reads the clock
 there and finishes the whole run, the fixed gating reads it within one
-512-pop interval and stops.  The fused batch kernel, which reads the
-clock once per bucket, must expire mid-search under the same clock.
+512-pop interval and stops.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.accel.batch_kernel as batch_kernel_module
 import repro.accel.bbs_kernel as bbs_kernel_module
 import repro.accel.onetoall_kernel as onetoall_kernel_module
 import repro.qa.reference as reference_module
-from repro.accel.batch_kernel import fused_skyline_batch
 from repro.accel.csr import CSRSnapshot
 from repro.graph.mcrn import MultiCostGraph
 from repro.search.bbs import SearchStats, skyline_paths
@@ -134,7 +131,6 @@ def clock(monkeypatch):
     fake = FakeClock()
     monkeypatch.setattr(reference_module, "time", fake)
     monkeypatch.setattr(bbs_kernel_module, "time", fake)
-    monkeypatch.setattr(batch_kernel_module, "time", fake)
     monkeypatch.setattr(onetoall_kernel_module, "time", fake)
     return fake
 
@@ -160,23 +156,6 @@ def test_bbs_budget_survives_pruned_pop_run(engine, clock):
     assert result.stats.pruned_by_result >= 1024
     # The answer found before expiry is still returned.
     assert [p.cost for p in result.paths] == [(102.0, 103.0)]
-
-
-def test_fused_budget_expires_mid_search(clock):
-    graph = bound_starvation_graph()
-    results = fused_skyline_batch(
-        graph,
-        CSRSnapshot.from_graph(graph),
-        [(S, TARGET), (X, TARGET)],
-        time_budget=BUDGET,
-    )
-    # The shared traversal cannot attribute the shortfall: every query
-    # reports it.
-    assert all(r.stats.timed_out for r in results)
-    assert sum(r.stats.expansions for r in results) > 0
-    # One clock read per bucket: the batch stops at the first read past
-    # the budget, and the only later read is the final elapsed one.
-    assert clock.calls_after_trip <= 2
 
 
 @pytest.mark.parametrize("engine", ENGINES)
