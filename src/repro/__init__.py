@@ -6,7 +6,7 @@ Cao.  The package provides:
 * :mod:`repro.graph` — the multi-cost road network substrate,
   generators, and DIMACS I/O;
 * :mod:`repro.paths` — paths, dominance, Pareto frontiers;
-* :mod:`repro.search` — exact algorithms (Dijkstra, A*, BBS, m_BBS,
+* :mod:`repro.search` — exact algorithms (Dijkstra, BBS, m_BBS,
   one-to-all skyline);
 * :mod:`repro.core` — the backbone index (construction, querying,
   maintenance), the paper's primary contribution;

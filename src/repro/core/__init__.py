@@ -1,11 +1,7 @@
 """The backbone index: construction, querying, and maintenance."""
 
 from repro.core.builder import build_backbone_index
-from repro.core.directed import (
-    DirectedBackboneIndex,
-    DirectedQueryResult,
-    project_undirected,
-)
+from repro.core.directed import DirectedBackboneIndex, project_undirected
 from repro.core.clustering import Clustering, find_dense_clusters
 from repro.core.coefficients import (
     all_cluster_coefficients,
@@ -60,7 +56,6 @@ __all__ = [
     "ClusteringStrategy",
     "CondensedCluster",
     "DirectedBackboneIndex",
-    "DirectedQueryResult",
     "LabelScope",
     "LevelIndex",
     "LevelStats",

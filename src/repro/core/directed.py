@@ -11,7 +11,7 @@ This module implements that extension without disturbing the undirected
 pipeline:
 
 1. the directed network is *projected* to an undirected multigraph
-   (per node pair, the skyline of both directions' cost vectors);
+   (per node pair, the mean of both directions' cost vectors);
 2. the standard backbone index is built over the projection — all
    structural decisions (clusters, spanning trees, segments) are
    direction-blind, exactly as the paper's sketch implies;
@@ -20,10 +20,10 @@ pipeline:
    target-side hops backward (the "extra information from highway
    entrances to each node").  A hop whose underlying road is one-way
    against the direction of travel is dropped;
-4. the second-type search runs m_BBS over the *directed* top graph,
-   without a bound like the undirected phase 3: an exact bound would
-   prune only labels at nodes that reach no target, and building it
-   costs more than those prunes save.
+4. Alg. 3 itself is the undirected one of :mod:`repro.core.query`: S
+   grows over the forward-replayed labels, D over the backward-replayed
+   ones, and phase 3 runs m_BBS over G_L with direction restored.
+   Answers are spliced back to directed walks of the original network.
 
 Under the paper's stated assumption (near-symmetric costs) the replay
 preserves approximation quality; for strongly asymmetric networks it
@@ -32,17 +32,19 @@ degrades gracefully (fewer surviving hops, never invalid paths).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
 
 from repro.accel.csr import CSRSnapshot
 from repro.core.builder import build_backbone_index
 from repro.core.index import BackboneIndex
+from repro.core.labels import LevelIndex, NodeLabel
 from repro.core.params import BackboneParams
+from repro.core.query import QueryResult, QueryStats, _answer_target, _grow
 from repro.errors import BuildError, NodeNotFoundError
 from repro.graph.mcrn import MultiCostGraph
+from repro.obs.tracer import resolve_tracer
 from repro.paths.frontier import PathSet
 from repro.paths.path import Path
-from repro.search.mbbs import Seed, many_to_many_skyline
 
 
 def project_undirected(directed: MultiCostGraph) -> MultiCostGraph:
@@ -76,18 +78,73 @@ def project_undirected(directed: MultiCostGraph) -> MultiCostGraph:
     return projection
 
 
-@dataclass
-class DirectedQueryResult:
-    """Approximate directed skyline paths plus diagnostics."""
+def replay(graph: MultiCostGraph, nodes: tuple[int, ...]) -> list[Path]:
+    """Directed skyline costs of walking ``nodes`` left to right.
 
-    paths: list[Path] = field(default_factory=list)
-    dropped_hops: int = 0  # label hops lost to one-way restrictions
+    Returns the Pareto set over parallel-edge choices; empty when a
+    one-way road blocks the direction of travel.
+    """
+    partials = PathSet([Path.trivial(nodes[0], graph.dim)])
+    for u, v in zip(nodes, nodes[1:]):
+        if not graph.has_edge(u, v):
+            return []
+        grown = PathSet()
+        for prefix in partials:
+            for cost in graph.edge_costs(u, v):
+                grown.add(prefix.concat(Path((u, v), cost)))
+        partials = grown
+    return partials.paths()
 
-    def __len__(self) -> int:
-        return len(self.paths)
 
-    def __iter__(self):
-        return iter(self.paths)
+class _ReplayedLevel:
+    """One level's labels with every hop replayed on the directed network.
+
+    Duck-types :meth:`LevelIndex.get` for Alg. 3's grow loop.  Labels are
+    replayed on first read and kept; a label hop that no directed walk
+    realizes is dropped, and so is an entrance left without hops.
+    """
+
+    def __init__(
+        self, level: LevelIndex, replay_hop: Callable[[Path], list[Path]]
+    ) -> None:
+        self._level = level
+        self._replay_hop = replay_hop
+        self._labels: dict[int, NodeLabel | None] = {}
+
+    def get(self, node: int) -> NodeLabel | None:
+        if node in self._labels:
+            return self._labels[node]
+        label = self._level.get(node)
+        if label is not None:
+            replayed = NodeLabel(node)
+            for entrance, hops in label.entrances.items():
+                paths = [p for hop in hops for p in self._replay_hop(hop)]
+                if paths:
+                    replayed.entrances[entrance] = paths
+            label = replayed
+        self._labels[node] = label
+        return label
+
+
+class _ReplayedIndex:
+    """The inner index as :func:`repro.core.query._grow` and
+    :func:`repro.core.query._answer_target` read it: ``dim``,
+    replayed ``levels``, and the directed G_L with its snapshot."""
+
+    def __init__(
+        self,
+        owner: "DirectedBackboneIndex",
+        replay_hop: Callable[[Path], list[Path]],
+    ) -> None:
+        self.dim = owner.directed_graph.dim
+        self.levels = [
+            _ReplayedLevel(level, replay_hop) for level in owner.inner.levels
+        ]
+        self.top_graph = owner.directed_top
+        self._snapshot = owner._top_snapshot
+
+    def csr_top(self, *, tracer=None) -> CSRSnapshot:
+        return self._snapshot
 
 
 class DirectedBackboneIndex:
@@ -113,15 +170,22 @@ class DirectedBackboneIndex:
         self.directed_graph = graph
         self.projection = project_undirected(graph)
         self.inner: BackboneIndex = build_backbone_index(self.projection, params)
-        # replay caches: abstract hop node-sequence -> directed PathSets
-        self._forward_cache: dict[tuple[int, ...], list[Path]] = {}
-        self._backward_cache: dict[tuple[int, ...], list[Path]] = {}
         self.directed_top = self._directed_top_graph()
         self._top_snapshot = CSRSnapshot.from_graph(self.directed_top)
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
+        # S grows over hops node -> entrance walked forward.  D grows
+        # over hops walked entrance -> node, stored reversed (node
+        # order node -> entrance) so that Alg. 3's ``path.reverse()``
+        # of a D path is the directed walk toward the target.
+        self._forward = _ReplayedIndex(
+            self, lambda hop: replay(graph, self._expand(hop.nodes))
+        )
+        self._backward = _ReplayedIndex(
+            self,
+            lambda hop: [
+                walk.reverse()
+                for walk in replay(graph, self._expand(hop.nodes)[::-1])
+            ],
+        )
 
     def _directed_top_graph(self) -> MultiCostGraph:
         """G_L with direction restored (shortcut edges replayed)."""
@@ -130,158 +194,39 @@ class DirectedBackboneIndex:
             top.add_node(node, self.directed_graph.coord(node))
         for u, v, _cost in self.inner.top_graph.edges():
             for a, b in ((u, v), (v, u)):
-                for path in self._replay_forward(
-                    self._expand_pair_sequence(a, b)
-                ):
+                for path in replay(self.directed_graph, self._expand((a, b))):
                     top.add_edge(a, b, path.cost)
         return top
 
-    def _expand_pair_sequence(self, u: int, v: int) -> tuple[int, ...]:
-        """The original-node sequence behind an abstract edge (u, v)."""
-        expanded = self.inner._expand_pair(u, v, depth=0)
+    def _expand(self, nodes: tuple[int, ...]) -> tuple[int, ...]:
+        """Splice every abstract pair of ``nodes`` into projection nodes.
+
+        A pair that is a projection edge stays as it is; a shortcut
+        becomes the sequence whose replay priced it.
+        """
+        expanded: list[int] = [nodes[0]]
+        for u, v in zip(nodes, nodes[1:]):
+            expanded.extend(self.inner._expand_pair(u, v, depth=0)[1:])
         return tuple(expanded)
 
-    def _expand_hop(self, hop: Path) -> tuple[int, ...]:
-        """Expand one abstract label path to original projection nodes."""
-        nodes: list[int] = [hop.nodes[0]]
-        for u, v in zip(hop.nodes, hop.nodes[1:]):
-            nodes.extend(self.inner._expand_pair(u, v, depth=0)[1:])
-        return tuple(nodes)
-
-    # ------------------------------------------------------------------
-    # replay
-    # ------------------------------------------------------------------
-
-    def _replay_forward(self, nodes: tuple[int, ...]) -> list[Path]:
-        """Directed skyline costs of walking ``nodes`` left to right.
-
-        Returns the Pareto set over parallel-edge choices; empty when a
-        one-way road blocks the direction of travel.
-        """
-        cached = self._forward_cache.get(nodes)
-        if cached is not None:
-            return cached
-        graph = self.directed_graph
-        partials = PathSet([Path.trivial(nodes[0], graph.dim)])
-        for u, v in zip(nodes, nodes[1:]):
-            if not graph.has_edge(u, v):
-                partials = PathSet()
-                break
-            grown = PathSet()
-            for prefix in partials:
-                for cost in graph.edge_costs(u, v):
-                    grown.add(prefix.concat(Path((u, v), cost)))
-            partials = grown
-        result = partials.paths()
-        self._forward_cache[nodes] = result
-        return result
-
-    def _replay_hop(self, hop: Path, *, backward: bool) -> list[Path]:
-        """Replay one abstract label hop in the required direction.
-
-        ``backward=False``: directed paths hop.source -> hop.target.
-        ``backward=True``: directed paths hop.target -> hop.source.
-        """
-        expanded = self._expand_hop(hop)
-        if backward:
-            key = expanded[::-1]
-            cached = self._backward_cache.get(key)
-            if cached is None:
-                cached = self._replay_forward(key)
-                self._backward_cache[key] = cached
-            return cached
-        return self._replay_forward(expanded)
-
-    # ------------------------------------------------------------------
-    # query (directed Algorithm 3)
-    # ------------------------------------------------------------------
-
-    def query(self, source: int, target: int) -> DirectedQueryResult:
+    def query(self, source: int, target: int) -> QueryResult:
         """Approximate directed skyline paths from source to target."""
         graph = self.directed_graph
-        if not graph.has_node(source):
-            raise NodeNotFoundError(source)
-        if not graph.has_node(target):
-            raise NodeNotFoundError(target)
-        result = DirectedQueryResult()
+        for node in (source, target):
+            if not graph.has_node(node):
+                raise NodeNotFoundError(node)
         if source == target:
-            result.paths = [Path.trivial(source, graph.dim)]
-            return result
-
-        results = PathSet()
-        forward = self._grow(source, backward=False, result=result)
-
-        # grow D with backward replay: D[h] holds directed paths h -> target
-        backward = self._grow(target, backward=True, result=result)
-
-        for node, suffixes in backward.items():
-            if node == source:
-                for suffix in suffixes:
-                    results.add(suffix)
-            prefixes = forward.get(node)
-            if prefixes is None or node == source or node == target:
-                continue
-            for prefix in prefixes:
-                for suffix in suffixes:
-                    results.add(prefix.concat(suffix))
-        if target in forward:
-            for path in forward[target]:
-                results.add(path)
-
-        # second type: m_BBS over the directed top graph
-        top = self.directed_top
-        source_possible = [n for n in forward if top.has_node(n)]
-        target_possible = [n for n in backward if top.has_node(n)]
-        if source_possible and target_possible:
-            seeds = [
-                Seed(node, prefix.cost, payload=prefix)
-                for node in source_possible
-                for prefix in forward[node]
-            ]
-            outcome = many_to_many_skyline(
-                top, seeds, target_possible, snapshot=self._top_snapshot
-            )
-            for landing, hits in outcome.hits.items():
-                suffixes = backward[landing].paths()
-                for _cost, (prefix, middle) in hits:
-                    through = prefix.concat(middle)
-                    for suffix in suffixes:
-                        results.add(through.concat(suffix))
-
-        result.paths = results.paths()
+            return QueryResult(paths=[Path.trivial(source, graph.dim)])
+        source_map, _ = _grow(
+            self._forward, source, results=PathSet(), other=None,
+            goal=None, stats=QueryStats(),
+        )
+        result = _answer_target(
+            self._backward, source, target, source_map, QueryStats(),
+            None, resolve_tracer(None),
+        )
+        # Phase 3's middle path walks G_L, whose edges may be shortcuts.
+        result.paths = [
+            Path(self._expand(path.nodes), path.cost) for path in result.paths
+        ]
         return result
-
-    def _grow(
-        self, start: int, *, backward: bool, result: DirectedQueryResult
-    ) -> dict[int, PathSet]:
-        """Climb the label hierarchy with direction-aware replay.
-
-        Forward mode returns paths ``start -> key``; backward mode
-        returns paths ``key -> start``.
-        """
-        dim = self.directed_graph.dim
-        reached: dict[int, PathSet] = {start: PathSet([Path.trivial(start, dim)])}
-        for level in self.inner.levels:
-            for node in list(reached.keys()):
-                label = level.get(node)
-                if label is None:
-                    continue
-                anchored = reached[node].paths()
-                for entrance, hops in label.entrances.items():
-                    bucket = None
-                    for hop in hops:
-                        directed_hops = self._replay_hop(hop, backward=backward)
-                        if not directed_hops:
-                            result.dropped_hops += 1
-                            continue
-                        if bucket is None:
-                            bucket = reached.get(entrance)
-                            if bucket is None:
-                                bucket = reached[entrance] = PathSet()
-                        for existing in anchored:
-                            for directed_hop in directed_hops:
-                                if backward:
-                                    bucket.add(directed_hop.concat(existing))
-                                else:
-                                    bucket.add(existing.concat(directed_hop))
-        return reached

@@ -145,7 +145,6 @@ class LabelTask:
     cluster_nodes: set[int]
     removed_edges: list[CostedEdge]
     entrances: set[int]
-    max_frontier: int | None = None
 
 
 def run_label_task(task: LabelTask) -> list[LabelRow]:
@@ -169,9 +168,7 @@ def run_label_task(task: LabelTask) -> list[LabelRow]:
     snapshot = CSRSnapshot.from_edges(
         task.dim, task.cluster_nodes, task.removed_edges
     )
-    return flat_label_rows(
-        snapshot, task.cluster_nodes, task.entrances, task.max_frontier
-    )
+    return flat_label_rows(snapshot, task.cluster_nodes, task.entrances)
 
 
 def record_label_rows(into: LevelIndex, rows: Iterable[LabelRow]) -> None:
@@ -187,7 +184,6 @@ def build_cluster_labels(
     entrances: set[int],
     *,
     into: LevelIndex,
-    max_frontier: int | None = None,
 ) -> None:
     """Build labels for one condensed cluster (Definition 4.7).
 
@@ -202,6 +198,5 @@ def build_cluster_labels(
         cluster_nodes=cluster_nodes,
         removed_edges=removed_edges,
         entrances=entrances,
-        max_frontier=max_frontier,
     )
     record_label_rows(into, run_label_task(task))

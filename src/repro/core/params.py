@@ -15,7 +15,7 @@ aggressive single-segment summarization fires (Section 6.1):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import BuildError
 
@@ -89,9 +89,6 @@ class BackboneParams:
         ablation: the whole cluster subgraph).
     max_levels:
         Safety cap on index height.
-    max_label_frontier:
-        Optional cap on skyline paths kept per (node, entrance) during
-        label construction; ``None`` keeps all.
     """
 
     m_max: int = 200
@@ -103,7 +100,6 @@ class BackboneParams:
     tree_policy: TreePolicy = TreePolicy.DEGREE_PAIR
     label_scope: LabelScope = LabelScope.REMOVED_EDGES
     max_levels: int = 64
-    max_label_frontier: int | None = field(default=None)
 
     def __post_init__(self) -> None:
         if self.m_max < 1:
@@ -120,8 +116,3 @@ class BackboneParams:
             raise BuildError(f"p_ind must lie in [0, 1), got {self.p_ind}")
         if self.max_levels < 1:
             raise BuildError(f"max_levels must be >= 1, got {self.max_levels}")
-        if self.max_label_frontier is not None and self.max_label_frontier < 1:
-            raise BuildError(
-                "max_label_frontier must be >= 1 or None, "
-                f"got {self.max_label_frontier}"
-            )

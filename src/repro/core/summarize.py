@@ -304,7 +304,6 @@ def condense_round(
                     cluster_nodes=live_nodes,
                     removed_edges=label_edges,
                     entrances=condensed.kept_nodes,
-                    max_frontier=params.max_label_frontier,
                 )
             )
             plan.cluster_pairs.append(condensed.removed_edges)

@@ -14,7 +14,7 @@ argument, and these providers are what it accepts:
 * :class:`ZeroBounds` — no pruning information.
 
 The bound ablation (``benchmarks/bench_ablation_bounds.py``) compares
-the three, and A* tests use :class:`LandmarkIndex` as a heuristic.
+the three.
 
 A landmark index pre-computes, for a handful of landmark nodes, the
 per-dimension shortest distances to every node.  The triangle

@@ -368,7 +368,6 @@ def one_to_all_skyline(
     source: int,
     *,
     targets: Iterable[int] | None = None,
-    max_frontier: int | None = None,
     time_budget: float | None = None,
     stats: SearchStats | None = None,
 ) -> dict[int, list[Path]]:
@@ -394,8 +393,6 @@ def one_to_all_skyline(
         frontier = frontiers.get(label.node)
         if frontier is None:
             frontier = frontiers[label.node] = NodeFrontier()
-        if max_frontier is not None and len(frontier) >= max_frontier:
-            return
         if not frontier.try_add(label.cost):
             stats.pruned_by_frontier += 1
             return
@@ -503,7 +500,6 @@ def _cluster_labels(
     cluster_nodes: set[int],
     removed_edges: list[CostedEdge],
     entrances: set[int],
-    max_frontier: int | None,
     into: LevelIndex,
 ) -> None:
     """Definition 4.7 over a restricted graph of the removed edges."""
@@ -517,9 +513,7 @@ def _cluster_labels(
     for entrance in sorted(entrances):
         if not restricted.has_node(entrance):
             continue
-        reached = one_to_all_skyline(
-            restricted, entrance, max_frontier=max_frontier
-        )
+        reached = one_to_all_skyline(restricted, entrance)
         for node, paths in reached.items():
             if node == entrance or node not in cluster_nodes:
                 continue
@@ -574,8 +568,7 @@ def _condense_round(graph: MultiCostGraph, params: BackboneParams) -> _Round:
     # captured edge lists — the production task order.
     for live_nodes, label_edges, entrances in labels:
         _cluster_labels(
-            graph.dim, live_nodes, label_edges, entrances,
-            params.max_label_frontier, clusters.index,
+            graph.dim, live_nodes, label_edges, entrances, clusters.index
         )
 
     strip.index.absorb(clusters.index, set(graph.nodes()))

@@ -1,6 +1,5 @@
-"""Exact search algorithms: Dijkstra, A*, BBS, m_BBS, one-to-all."""
+"""Exact search algorithms: Dijkstra, BBS, m_BBS, one-to-all."""
 
-from repro.search.astar import astar_path, euclidean_heuristic
 from repro.search.bbs import (
     SearchStats,
     SkylineResult,
@@ -21,8 +20,6 @@ __all__ = [
     "SearchStats",
     "Seed",
     "SkylineResult",
-    "astar_path",
-    "euclidean_heuristic",
     "brute_force_skyline",
     "many_to_many_skyline",
     "one_to_all_skyline",

@@ -30,7 +30,6 @@ def one_to_all_skyline(
     source: int,
     *,
     targets: Iterable[int] | None = None,
-    max_frontier: int | None = None,
     time_budget: float | None = None,
     stats=None,
     snapshot=None,
@@ -43,10 +42,6 @@ def one_to_all_skyline(
         When given, only these nodes appear in the result map (the
         search itself still explores everything reachable — any node can
         lie on a skyline path to a target).
-    max_frontier:
-        Optional cap on the number of skyline labels kept per node.  A
-        cap turns the search into an under-approximation; the backbone
-        builder exposes it as a guard against pathological clusters.
     time_budget:
         Optional wall-clock budget in seconds.  Checked on a monotone
         iteration counter (every 512 pops) so a pathological cluster
@@ -74,7 +69,6 @@ def one_to_all_skyline(
         snapshot,
         source,
         targets=targets,
-        max_frontier=max_frontier,
         time_budget=time_budget,
         stats=stats,
     )

@@ -170,6 +170,15 @@ class IndexStore:
         if document is None:
             document = self.params_document()
         raw = document["params"]
+        if raw.get("max_label_frontier") is not None:
+            # Stores written before the label-frontier cap was removed
+            # carry the key; a set cap built labels today's build
+            # cannot reproduce.
+            raise BuildError(
+                f"{self.path}: params key max_label_frontier="
+                f"{raw['max_label_frontier']} is no longer supported; "
+                "rebuild the index"
+            )
         return BackboneParams(
             m_max=raw["m_max"],
             m_min=raw["m_min"],
@@ -180,7 +189,6 @@ class IndexStore:
             tree_policy=TreePolicy(raw["tree_policy"]),
             label_scope=LabelScope(raw["label_scope"]),
             max_levels=raw["max_levels"],
-            max_label_frontier=raw["max_label_frontier"],
         )
 
     def load_level(self, level: int) -> "LevelIndex":

@@ -62,7 +62,6 @@ def encode_params(index: "BackboneIndex") -> bytes:
             "tree_policy": params.tree_policy.value,
             "label_scope": params.label_scope.value,
             "max_levels": params.max_levels,
-            "max_label_frontier": params.max_label_frontier,
         },
     }
     return json.dumps(document, sort_keys=True).encode("utf-8")

@@ -152,6 +152,26 @@ class TestQueries:
         for value in values:
             assert 0.95 <= value <= 10.0
 
+    def test_answers_through_a_shortcut_are_directed_walks(self):
+        """Phase 3's middle path walks G_L, and the G_L edge 185 -> 114
+        is a shortcut for 185, 319, 318, 114: answers crossing it must
+        come back spliced into road-by-road walks."""
+        graph = to_directed(
+            road_network(400, dim=2, seed=5), one_way_fraction=0.1, seed=5
+        )
+        index = DirectedBackboneIndex(
+            graph, BackboneParams(m_max=30, m_min=5, p=0.12)
+        )
+        assert index.directed_top.has_edge(185, 114)
+        assert not graph.has_edge(185, 114)
+        for source in (352, 324):
+            paths = index.query(source, 118).paths
+            assert paths
+            for p in paths:
+                assert p.source == source and p.target == 118
+                for u, v in zip(p.nodes, p.nodes[1:]):
+                    assert graph.has_edge(u, v), (u, v)
+
     def test_one_way_street_respected(self):
         """A network whose only cheap route is one-way must not be
         answered with the forbidden reverse traversal."""

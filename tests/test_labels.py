@@ -159,13 +159,3 @@ class TestBuildClusterLabels:
         assert len(index) == 0
         build_cluster_labels(2, {1, 2}, [(1, 2, (1.0, 1.0))], set(), into=index)
         assert len(index) == 0
-
-    def test_max_frontier_caps_paths(self):
-        g, cluster, removed = self.graph_and_cluster()
-        index = LevelIndex()
-        build_cluster_labels(
-            2, cluster, removed, {10, 14}, into=index, max_frontier=1
-        )
-        for node in index.nodes():
-            for paths in index.get(node).entrances.values():
-                assert len(paths) <= 1

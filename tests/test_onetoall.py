@@ -38,11 +38,6 @@ class TestBasics:
         with pytest.raises(NodeNotFoundError):
             one_to_all_skyline(g, 42)
 
-    def test_max_frontier_caps_width(self):
-        g = make_diamond_graph()
-        result = one_to_all_skyline(g, 0, max_frontier=1)
-        assert len(result[3]) <= 1
-
 
 class TestAgainstBBS:
     def test_matches_pairwise_bbs(self):

@@ -52,7 +52,7 @@ class TestBackboneParams:
             {"p_ind": -0.2},
             {"m_max": 10, "m_min": 11},  # exceeds an explicit m_max
             {"max_levels": 0},
-            {"max_label_frontier": 0},
+            {"max_levels": -3},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

@@ -504,3 +504,44 @@ class TestFormatVersions:
         for s, t in [(nodes[1], nodes[-2]), (nodes[4], nodes[-7]),
                      (nodes[2], nodes[-3])]:
             assert loaded.query(s, t) == index.query(s, t)
+
+
+def _store_with_cap(index, path, cap):
+    """Today's sections with the params key ``max_label_frontier`` set
+    to ``cap`` (absent when ``cap`` is ``...``), as writers emitted it
+    while label construction had a frontier cap."""
+    import json
+
+    sections = []
+    for tag, raw in _iter_sections(index):
+        if tag == "params":
+            document = json.loads(raw)
+            if cap is not ...:
+                document["params"]["max_label_frontier"] = cap
+            raw = json.dumps(document, sort_keys=True).encode("utf-8")
+        sections.append((tag, raw))
+    path.write_bytes(
+        _assemble_store(FORMAT_VERSION, index.dim, index.height, sections)
+    )
+    return path
+
+
+class TestLabelFrontierKey:
+    def test_writer_omits_the_key(self, store_path):
+        params = IndexStore(store_path).params_document()["params"]
+        assert "max_label_frontier" not in params
+
+    @pytest.mark.parametrize("cap", [None, ...], ids=["null", "absent"])
+    def test_null_or_absent_key_loads(self, index, network, tmp_path, cap):
+        path = _store_with_cap(index, tmp_path / "cap.rbi", cap)
+        loaded = load_index(path, network)
+        assert loaded.params == index.params
+        nodes = sorted(network.nodes())
+        assert loaded.query(nodes[1], nodes[-2]) == index.query(
+            nodes[1], nodes[-2]
+        )
+
+    def test_set_cap_rejected_naming_the_key(self, index, network, tmp_path):
+        path = _store_with_cap(index, tmp_path / "cap.rbi", 3)
+        with pytest.raises(BuildError, match="max_label_frontier"):
+            load_index(path, network)
